@@ -27,6 +27,7 @@ from .eigenstructure import (
     EigenBasisVector,
     NotMMatrixError,
     class_labels,
+    critical_digraph,
     m_nullbasis,
     pencil_eigenbasis,
 )
@@ -92,8 +93,8 @@ __all__ = [
     "m_trichotomy", "zs_bound",
     # eigenstructure
     "ClassLabel", "EigenBasisVector", "NotMMatrixError",
-    "ConstructionFailedError", "class_labels", "m_nullbasis",
-    "pencil_eigenbasis",
+    "ConstructionFailedError", "class_labels", "critical_digraph",
+    "m_nullbasis", "pencil_eigenbasis",
     # testkit
     "GenConfig", "gen_pencil", "oracle_pencil_eigs", "oracle_classify",
 ]

@@ -29,7 +29,12 @@ from .digraph import (
     reduced_graph_to_dot,
     union,
 )
-from .eigenstructure import class_labels, pencil_eigenbasis, rho_ambiguous
+from .eigenstructure import (
+    class_labels,
+    critical_digraph,
+    pencil_eigenbasis,
+    rho_ambiguous,
+)
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .pencil import (
     Pencil,
@@ -198,10 +203,48 @@ def _validation_dict(report: ValidationReport) -> dict:
     }
 
 
-def _gamma_for(p: Pencil, rho: float, tol: TolerancePolicy):
-    if rho > tol.rel_sing:
-        return "union", union(digraph_of(p.A, tol), digraph_of(p.B, tol))
-    return "a", digraph_of(p.A, tol)
+def _partition_json(part) -> list:
+    return [
+        {
+            "lo": float(seg.lo),
+            "hi": float(seg.hi),
+            "lo_closed": seg.lo_closed,
+            "hi_closed": seg.hi_closed,
+            "s": seg.s,
+        }
+        for seg in part.segments
+    ]
+
+
+def _classes_json(labels) -> list:
+    return [
+        {
+            "vertices": list(lab.vertices),
+            "singular": lab.is_singular,
+            "distinguished": lab.is_distinguished,
+        }
+        for lab in labels
+    ]
+
+
+def _eigenbasis_json(basis) -> list:
+    return [
+        {
+            "origin_class": list(vec.origin_class),
+            "support": list(vec.support),
+            "values": [float(v) for v in vec.x],
+        }
+        for vec in basis
+    ]
+
+
+def _warn_if_ambiguous(summary, tol: TolerancePolicy) -> None:
+    if rho_ambiguous(summary, tol):
+        print(
+            "warning: rho_ab is within 10x the singularity tolerance of zero; "
+            "the digraph choice is ambiguous",
+            file=sys.stderr,
+        )
 
 
 def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
@@ -216,7 +259,7 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     summary = spectral_summary(p, tol)
     tbl = thresholds(p, tol)
     part = partition(p, tbl, tol)
-    _, gamma = _gamma_for(p, summary.rho_ab, tol)
+    _, gamma = critical_digraph(p, summary, tol)
     labels = class_labels(summary.rho_ab * p.B - p.A, gamma, tol)
     basis = pencil_eigenbasis(p, summary, tol)
     union_classes = classes(union(digraph_of(p.A, tol), digraph_of(p.B, tol)))
@@ -227,32 +270,9 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         "rho_ab": float(summary.rho_ab),
         "sigma": [float(v) for v in tbl.sigma],
         "tau": [float(v) for v in tbl.tau],
-        "partition": [
-            {
-                "lo": float(seg.lo),
-                "hi": float(seg.hi),
-                "lo_closed": seg.lo_closed,
-                "hi_closed": seg.hi_closed,
-                "s": seg.s,
-            }
-            for seg in part.segments
-        ],
-        "classes": [
-            {
-                "vertices": list(lab.vertices),
-                "singular": lab.is_singular,
-                "distinguished": lab.is_distinguished,
-            }
-            for lab in labels
-        ],
-        "eigenbasis": [
-            {
-                "origin_class": list(vec.origin_class),
-                "support": list(vec.support),
-                "values": [float(v) for v in vec.x],
-            }
-            for vec in basis
-        ],
+        "partition": _partition_json(part),
+        "classes": _classes_json(labels),
+        "eigenbasis": _eigenbasis_json(basis),
         "bounds": [
             {"vertices": list(b.vertices), "m": b.m, "s_upper": b.s_upper}
             for b in bounds
@@ -266,16 +286,29 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     }
 
 
-def _print_validation(report: ValidationReport) -> None:
-    print(f"condition 1 (A >= 0):                {'ok' if report.c1_holds else 'FAIL'}")
-    print(f"condition 2 (off-diagonal B <= A):   {'ok' if report.c2_holds else 'FAIL'}")
-    print(f"condition 3 (B - A nonsingular M):   {'ok' if report.c3_holds else 'FAIL'}")
-    if report.witness_u is not None:
-        u = " ".join(repr(float(v)) for v in report.witness_u)
+def _print_validation(v: dict) -> None:
+    """Human form of :func:`_validation_dict`."""
+    print(f"condition 1 (A >= 0):                {'ok' if v['c1_holds'] else 'FAIL'}")
+    print(f"condition 2 (off-diagonal B <= A):   {'ok' if v['c2_holds'] else 'FAIL'}")
+    print(f"condition 3 (B - A nonsingular M):   {'ok' if v['c3_holds'] else 'FAIL'}")
+    if v["witness_u"] is not None:
+        u = " ".join(repr(x) for x in v["witness_u"])
         print(f"witness u with (B - A) u = 1 > 0:    [{u}]")
-    for v in report.violations:
-        where = f" at ({v.position[0]},{v.position[1]})" if v.position else ""
-        print(f"  violation of ({v.condition}){where}: {v.message}")
+    for bad in v["violations"]:
+        where = " at ({},{})".format(*bad["position"]) if bad["position"] else ""
+        print(f"  violation of ({bad['condition']}){where}: {bad['message']}")
+
+
+def _print_partition(segments: list) -> None:
+    print("partition of [0, 1]:")
+    for seg in segments:
+        hi = "]" if seg["hi_closed"] else ")"
+        print(f"  [{_fmt(seg['lo'])}, {_fmt(seg['hi'])}{hi} -> L_{seg['s']}")
+
+
+def _print_class_line(i: int, label: dict) -> None:
+    flags = [flag for flag in ("singular", "distinguished") if label[flag]]
+    print(f"  C{i} = {_set_str(label['vertices'])}  {' '.join(flags) or 'nonsingular'}")
 
 
 def cmd_validate(p: Pencil, args, tol: TolerancePolicy) -> int:
@@ -283,7 +316,7 @@ def cmd_validate(p: Pencil, args, tol: TolerancePolicy) -> int:
     if args.json:
         _print_json(_validation_dict(report))
     else:
-        _print_validation(report)
+        _print_validation(_validation_dict(report))
     return 0 if report.ok else 1
 
 
@@ -310,23 +343,14 @@ def cmd_spectrum(p: Pencil, args, tol: TolerancePolicy) -> int:
 
 def cmd_thresholds(p: Pencil, args, tol: TolerancePolicy) -> int:
     tbl = thresholds(p, tol)
-    part = partition(p, tbl, tol)
+    segments = _partition_json(partition(p, tbl, tol))
     if args.json:
         _print_json(
             {
                 "sigma": [float(v) for v in tbl.sigma],
                 "tau": [float(v) for v in tbl.tau],
                 "argmax_sets": [list(J) for J in tbl.argmax_sets],
-                "partition": [
-                    {
-                        "lo": float(seg.lo),
-                        "hi": float(seg.hi),
-                        "lo_closed": seg.lo_closed,
-                        "hi_closed": seg.hi_closed,
-                        "s": seg.s,
-                    }
-                    for seg in part.segments
-                ],
+                "partition": segments,
             }
         )
         return 0
@@ -337,10 +361,7 @@ def cmd_thresholds(p: Pencil, args, tol: TolerancePolicy) -> int:
             f"  {s}  {_fmt(tbl.sigma[s - 1]):22} {_fmt(tbl.tau[s]):22} "
             f"{_set_str(tbl.argmax_sets[s - 1])}"
         )
-    print("partition of [0, 1]:")
-    for seg in part.segments:
-        hi = "]" if seg.hi_closed else ")"
-        print(f"  [{_fmt(seg.lo)}, {_fmt(seg.hi)}{hi} -> L_{seg.s}")
+    _print_partition(segments)
     return 0
 
 
@@ -376,67 +397,31 @@ def cmd_sweep(p: Pencil, args, tol: TolerancePolicy) -> int:
 
 def cmd_classes(p: Pencil, args, tol: TolerancePolicy) -> int:
     summary = spectral_summary(p, tol)
-    gamma_name, gamma = _gamma_for(p, summary.rho_ab, tol)
-    labels = class_labels(summary.rho_ab * p.B - p.A, gamma, tol)
-    if rho_ambiguous(summary, tol):
-        print(
-            "warning: rho_ab is within 10x the singularity tolerance of zero; "
-            "the digraph choice is ambiguous",
-            file=sys.stderr,
-        )
+    gamma_name, gamma = critical_digraph(p, summary, tol)
+    labels = _classes_json(class_labels(summary.rho_ab * p.B - p.A, gamma, tol))
+    _warn_if_ambiguous(summary, tol)
     if args.json:
-        _print_json(
-            {
-                "gamma": gamma_name,
-                "classes": [
-                    {
-                        "vertices": list(lab.vertices),
-                        "singular": lab.is_singular,
-                        "distinguished": lab.is_distinguished,
-                    }
-                    for lab in labels
-                ],
-            }
-        )
+        _print_json({"gamma": gamma_name, "classes": labels})
         return 0
     print(f"classes of {'G(A) union G(B)' if gamma_name == 'union' else 'G(A)'} "
           f"against rho_ab*B - A:")
-    for i, lab in enumerate(labels):
-        flags = []
-        if lab.is_singular:
-            flags.append("singular")
-        if lab.is_distinguished:
-            flags.append("distinguished")
-        print(f"  C{i + 1} = {_set_str(lab.vertices)}  {' '.join(flags) or 'nonsingular'}")
+    for i, label in enumerate(labels, start=1):
+        _print_class_line(i, label)
     return 0
 
 
 def cmd_eigvecs(p: Pencil, args, tol: TolerancePolicy) -> int:
     summary = spectral_summary(p, tol)
-    basis = pencil_eigenbasis(p, summary, tol)
-    if rho_ambiguous(summary, tol):
-        print(
-            "warning: rho_ab is within 10x the singularity tolerance of zero; "
-            "the digraph choice is ambiguous",
-            file=sys.stderr,
-        )
+    basis = _eigenbasis_json(pencil_eigenbasis(p, summary, tol))
+    _warn_if_ambiguous(summary, tol)
     if args.json:
-        _print_json(
-            [
-                {
-                    "origin_class": list(vec.origin_class),
-                    "support": list(vec.support),
-                    "values": [float(v) for v in vec.x],
-                }
-                for vec in basis
-            ]
-        )
+        _print_json(basis)
         return 0
     print(f"rho_ab = {_fmt(summary.rho_ab)}; {len(basis)} nonnegative eigenvector(s):")
     for i, vec in enumerate(basis, start=1):
-        values = " ".join(repr(float(v)) for v in vec.x)
-        print(f"  x{i}: origin {_set_str(vec.origin_class)}, "
-              f"support {_set_str(vec.support)}")
+        values = " ".join(repr(v) for v in vec["values"])
+        print(f"  x{i}: origin {_set_str(vec['origin_class'])}, "
+              f"support {_set_str(vec['support'])}")
         print(f"      [{values}]")
     return 0
 
@@ -445,37 +430,24 @@ def cmd_report(p: Pencil, args, tol: TolerancePolicy) -> int:
     try:
         payload = build_report(p, tol)
     except ValidationFailedError as exc:
+        validation = _validation_dict(exc.report)
         if args.json:
-            _print_json({"validation": _validation_dict(exc.report)})
+            _print_json({"validation": validation})
         else:
-            _print_validation(exc.report)
+            _print_validation(validation)
         return 1
-    if rho_ambiguous(spectral_summary(p, tol), tol):
-        print(
-            "warning: rho_ab is within 10x the singularity tolerance of zero; "
-            "the digraph choice is ambiguous",
-            file=sys.stderr,
-        )
+    _warn_if_ambiguous(spectral_summary(p, tol), tol)
     if args.json:
         _print_json(payload)
         return 0
-    _print_validation(validate(p, tol))
+    _print_validation(payload["validation"])
     print(f"mu     = {_fmt(payload['mu'])}")
     print(f"rho_ab = {_fmt(payload['rho_ab'])}")
     print("tau:    " + "  ".join(_fmt(v) for v in payload["tau"]))
-    print("partition of [0, 1]:")
-    for seg in payload["partition"]:
-        hi = "]" if seg["hi_closed"] else ")"
-        print(f"  [{_fmt(seg['lo'])}, {_fmt(seg['hi'])}{hi} -> L_{seg['s']}")
+    _print_partition(payload["partition"])
     print("classes:")
-    for i, lab in enumerate(payload["classes"]):
-        flags = []
-        if lab["singular"]:
-            flags.append("singular")
-        if lab["distinguished"]:
-            flags.append("distinguished")
-        print(f"  C{i + 1} = {_set_str(lab['vertices'])}  "
-              f"{' '.join(flags) or 'nonsingular'}")
+    for i, label in enumerate(payload["classes"], start=1):
+        _print_class_line(i, label)
     print(f"eigenbasis: {len(payload['eigenbasis'])} vector(s)")
     for vec in payload["eigenbasis"]:
         values = " ".join(repr(v) for v in vec["values"])
@@ -492,14 +464,12 @@ def cmd_graph(p: Pencil, args, tol: TolerancePolicy) -> int:
         dot = digraph_to_dot(digraph_of(p.A, tol), name="A")
     elif args.kind == "b":
         dot = digraph_to_dot(digraph_of(p.B, tol), name="B")
-    elif args.kind == "union":
-        dot = digraph_to_dot(
-            union(digraph_of(p.A, tol), digraph_of(p.B, tol)), name="AB"
-        )
     else:
-        dot = reduced_graph_to_dot(
-            reduced_graph(union(digraph_of(p.A, tol), digraph_of(p.B, tol)))
-        )
+        g = union(digraph_of(p.A, tol), digraph_of(p.B, tol))
+        if args.kind == "union":
+            dot = digraph_to_dot(g, name="AB")
+        else:
+            dot = reduced_graph_to_dot(reduced_graph(g))
     if args.out:
         Path(args.out).write_text(dot, encoding="utf-8")
     else:

@@ -39,6 +39,7 @@ __all__ = [
     "ClassLabel",
     "EigenBasisVector",
     "class_labels",
+    "critical_digraph",
     "m_nullbasis",
     "pencil_eigenbasis",
     "rho_ambiguous",
@@ -200,17 +201,28 @@ def m_nullbasis(X, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[EigenBasisVector
     return vectors
 
 
+def critical_digraph(
+    p: Pencil,
+    summary: SpectralSummary,
+    tol: TolerancePolicy = DEFAULT_TOL,
+) -> tuple[str, Digraph]:
+    """The digraph carrying classes and access at the critical value:
+    ``("union", G(A) union G(B))``, or ``("a", G(A))`` when ``rho_ab`` is
+    numerically zero, since ``rho_ab*B - A`` is then ``-A``."""
+    if summary.rho_ab > tol.rel_sing:
+        return "union", union(digraph_of(p.A, tol), digraph_of(p.B, tol))
+    return "a", digraph_of(p.A, tol)
+
+
 def pencil_eigenbasis(
     p: Pencil,
     summary: SpectralSummary,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> tuple[EigenBasisVector, ...]:
     """Nonnegative eigenvectors of the pencil at the critical value, one
-    per distinguished class.
+    per distinguished class of :func:`critical_digraph`.
 
-    Classes and access are taken in the union of the digraphs of A and B;
-    when the critical value is (numerically) zero, in the digraph of A
-    alone.  Each vector satisfies ``A x = rho_ab * B x`` within
+    Each vector satisfies ``A x = rho_ab * B x`` within
     ``RESIDUAL_FACTOR * max(||A||, ||B||)`` and is positive exactly on the
     access closure of its class.
     """
@@ -219,10 +231,7 @@ def pencil_eigenbasis(
         raise ValidationFailedError(report)
     rho = summary.rho_ab
     X = rho * p.B - p.A
-    if rho > tol.rel_sing:
-        gamma = union(digraph_of(p.A, tol), digraph_of(p.B, tol))
-    else:
-        gamma = digraph_of(p.A, tol)
+    _, gamma = critical_digraph(p, summary, tol)
     labels = class_labels(X, gamma, tol)
     vectors = _build_basis(X, gamma, labels, tol)
     limit = RESIDUAL_FACTOR * max(inf_norm(p.A), inf_norm(p.B))

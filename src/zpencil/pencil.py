@@ -16,7 +16,7 @@ order at most s is an M-matrix and some submatrix of order s+1 is not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +49,13 @@ __all__ = [
 class Pencil:
     """The pair (A, B) defining the family ``t*B - A``.
 
-    Both matrices are stored as read-only float64 copies; all operations
-    on a pencil are pure functions, so instances can be shared freely.
+    Both matrices are read-only float64 copies, and :func:`validate`
+    records its verdict per policy, so instances can be shared freely.
     """
 
     A: np.ndarray
     B: np.ndarray
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = as_square(self.A, "A")
@@ -93,6 +94,10 @@ class ValidationReport:
     witness_u: np.ndarray | None
     violations: tuple[Violation, ...]
 
+    def __post_init__(self) -> None:
+        if self.witness_u is not None:
+            self.witness_u.setflags(write=False)
+
     @property
     def ok(self) -> bool:
         return self.c1_holds and self.c2_holds and self.c3_holds
@@ -117,8 +122,11 @@ def validate(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> ValidationReport:
     (equivalent whenever condition 2 holds); the concrete witness
     ``u = (B - A)^{-1} 1`` then satisfies ``u > 0`` and ``(B - A) u = 1``,
     so the report certifies itself.  If ``B - A`` is not even a Z-matrix,
-    the witness attempt alone decides.
+    the witness attempt alone decides.  The report is recorded on ``p`` and
+    returned again for an equal ``tol``, so each policy is evaluated once.
     """
+    if tol in p._verdicts:
+        return p._verdicts[tol]
     A, B, n = p.A, p.B, p.n
     floor = tol.abs_floor
     violations: list[Violation] = []
@@ -168,10 +176,11 @@ def validate(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> ValidationReport:
                       "B - A is not a nonsingular M-matrix")
         )
 
-    return ValidationReport(
+    # setdefault: concurrent first calls all return the one recorded report
+    return p._verdicts.setdefault(tol, ValidationReport(
         c1_holds=c1, c2_holds=c2, c3_holds=c3,
         witness_u=witness, violations=tuple(violations),
-    )
+    ))
 
 
 def _require_valid(p: Pencil, tol: TolerancePolicy) -> ValidationReport:
@@ -232,7 +241,8 @@ class ThresholdTable:
     ``sigma[s-1]`` is the largest subpencil Perron value over index sets
     of size s; ``tau[s] = sigma_s / (1 + sigma_s)`` with ``tau[0] = 0``;
     ``argmax_sets[s-1]`` is the lexicographically smallest set attaining
-    ``sigma_s``.  ``tau[n]`` equals the critical value ``rho_ab``.
+    ``sigma_s`` within ``tol.rel_sing * |sigma_s| + tol.abs_floor`` (the
+    coincidence band of :func:`partition`).  ``tau[n]`` equals ``rho_ab``.
     """
 
     n: int
@@ -259,22 +269,16 @@ def thresholds(
     """
     _require_valid(p, tol)
     n = p.n
-    if n > max_order:
-        raise zmatrix.EnumerationLimitError(
-            f"order {n} exceeds the enumeration guard {max_order}; "
-            "pass max_order explicitly to override"
-        )
+    zmatrix._check_order_guard(n, max_order)
     sigma: list[float] = []
     argmax: list[tuple[int, ...]] = []
     for s in range(1, n + 1):
-        best = -np.inf
-        best_set: tuple[int, ...] = ()
-        for J in itertools.combinations(range(1, n + 1), s):
-            value = _subpencil_perron(p, J, tol)
-            if value > best:
-                best, best_set = value, J
+        sets = list(itertools.combinations(range(1, n + 1), s))
+        values = [_subpencil_perron(p, J, tol) for J in sets]
+        best = max(values)
+        floor = best - (tol.rel_sing * abs(best) + tol.abs_floor)
         sigma.append(best)
-        argmax.append(best_set)
+        argmax.append(next(J for J, v in zip(sets, values) if v >= floor))
     tau = [0.0] + [v / (1.0 + v) for v in sigma]
     return ThresholdTable(
         n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax)

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zpencil.pencil
 from zpencil.cli import (
     PencilFormatError,
     build_report,
@@ -11,6 +13,9 @@ from zpencil.cli import (
     main,
     parse_pencil,
 )
+from zpencil.pencil import Pencil
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 
@@ -220,3 +225,79 @@ class TestGoldenPartitionsAsData:
             assert ghi == pytest.approx(ehi, abs=1e-9)
         closed_flags = [seg["hi_closed"] for seg in payload["partition"]]
         assert closed_flags == [False] * (len(got) - 1) + [True]
+
+
+class TestOneValidationPerAnalysis:
+    """The admission conditions are evaluated once per pencil and policy,
+    however many stages check them."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        made = []
+        real = zpencil.pencil.ValidationReport
+
+        def counting(*args, **kwargs):
+            made.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zpencil.pencil, "ValidationReport", counting)
+        return made
+
+    def test_build_report(self, ex2, evaluations):
+        build_report(Pencil(A=ex2.A, B=ex2.B))
+        assert len(evaluations) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "ex2.pencil", "--json"],
+        ["report", "ex2.pencil"],
+        ["sweep", "ex1.pencil", "--steps", "11"],
+    ])
+    def test_cli(self, capsys, evaluations, argv):
+        assert main([argv[0], str(DATA_DIR / argv[1]), *argv[2:]]) == 0
+        assert len(evaluations) == 1
+
+
+def assert_matches_golden(got, want, path="$"):
+    """Same key order, types, ints, bools, strings and list lengths;
+    floats within 1e-12 relative plus 1e-15 absolute."""
+    assert type(got) is type(want), f"{path}: {got!r} vs {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys {list(got)} vs {list(want)}"
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length {len(got)} vs {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-15, f"{path}: {got!r} vs {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} vs {want!r}"
+
+
+class TestReportGoldens:
+    """``report --json`` on every sample file against its checked-in
+    output in ``data/golden``.  A golden changes only with a deliberate,
+    documented change to the report."""
+
+    @pytest.mark.parametrize("name", sorted(f.stem for f in DATA_DIR.glob("*.pencil")))
+    def test_report_json(self, capsys, name):
+        assert main(["report", str(DATA_DIR / f"{name}.pencil"), "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        golden = DATA_DIR / "golden" / f"{name}.report.json"
+        assert_matches_golden(got, json.loads(golden.read_text(encoding="utf-8")))
+
+    def test_comparison_catches_drift(self):
+        want = json.loads((DATA_DIR / "golden" / "ex2.report.json").read_text())
+        for mutate in (
+            lambda d: d["sigma"].__setitem__(0, d["sigma"][0] * (1 + 1e-11)),
+            lambda d: d["partition"][0].__setitem__("s", 1),
+            lambda d: d["classes"][0].__setitem__("singular", 1),
+            lambda d: d["eigenbasis"].pop(),
+            lambda d: d.update(validation=d.pop("validation")),
+        ):
+            got = json.loads(json.dumps(want))
+            mutate(got)
+            with pytest.raises(AssertionError):
+                assert_matches_golden(got, want)
+        assert_matches_golden(json.loads(json.dumps(want)), want)

@@ -6,6 +6,7 @@ from zpencil.digraph import classes, digraph_of, union
 from zpencil.eigenstructure import (
     NotMMatrixError,
     class_labels,
+    critical_digraph,
     m_nullbasis,
     pencil_eigenbasis,
     rho_ambiguous,
@@ -93,6 +94,15 @@ class TestPencilEigenbasis:
         vecs = pencil_eigenbasis(p, spectral_summary(p))
         assert len(vecs) == 3
         assert np.array_equal(np.array([v.x for v in vecs]), np.eye(3))
+
+    def test_critical_digraph_follows_the_critical_value(self, ex2, ex3):
+        name, gamma = critical_digraph(ex2, spectral_summary(ex2))
+        assert name == "union"
+        assert gamma == union(digraph_of(ex2.A), digraph_of(ex2.B))
+        # rho_ab = 0 leaves -A, so the pattern of B drops out
+        name, gamma = critical_digraph(ex3, spectral_summary(ex3))
+        assert name == "a"
+        assert gamma == digraph_of(ex3.A) != union(digraph_of(ex3.A), digraph_of(ex3.B))
 
     def test_rho_ambiguity_flag(self, ex3):
         summary = spectral_summary(ex3)

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from zpencil.digraph import classes, digraph_of, union
+from zpencil.linalg import TolerancePolicy
 from zpencil.pencil import (
     Pencil,
     ValidationFailedError,
@@ -77,6 +80,50 @@ class TestValidate:
         assert bad and bad[0].position == (1, 2)
 
 
+class TestValidationRecord:
+    def test_verdict_is_recorded_per_policy(self, ex2):
+        report = validate(ex2)
+        assert validate(ex2) is report
+        assert validate(ex2, TolerancePolicy()) is report  # an equal policy
+        assert validate(ex2, TolerancePolicy(rel_sing=1e-8)) is not report
+
+    def test_recorded_witness_is_read_only(self, ex2):
+        with pytest.raises(ValueError):
+            validate(ex2).witness_u[0] = 5.0
+
+    def test_second_policy_is_evaluated_afresh(self):
+        p = gen_pencil(GenConfig(n=3, seed=0, dominance_slack=1e-6))
+        assert validate(p).ok
+        strict = TolerancePolicy(rel_sing=1e-4, rel_eig=1e-10)
+        with pytest.raises(ValidationFailedError) as err:
+            spectral_summary(p, strict)
+        assert not err.value.report.c3_holds
+        assert [v.condition for v in err.value.report.violations] == [3]
+        assert validate(p).ok
+
+    def test_threads_sharing_a_fresh_pencil_get_one_report(self):
+        p = gen_pencil(GenConfig(n=6, seed=3))
+        reports, rhos = [], []
+
+        def work():
+            rhos.append(spectral_summary(p).rho_ab)
+            reports.append(validate(p))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(reports) == 8 and all(r is validate(p) for r in reports)
+        assert len(set(rhos)) == 1
+
+
 class TestSpectralSummary:
     def test_golden_2x2(self, ex1):
         s = spectral_summary(ex1)
@@ -135,6 +182,13 @@ class TestThresholds:
     def test_golden_nilpotent(self, ex3):
         tbl = thresholds(ex3)
         assert tbl.tau == (0.0, 0.0, 0.0)
+
+    def test_rounding_tie_goes_to_the_lexicographically_smallest_set(self):
+        # The value of (1, 2, 4) is one ulp below that of (2, 3, 4).
+        p = gen_pencil(GenConfig(n=4, seed=21, density=0.2))
+        tbl = thresholds(p)
+        assert tbl.argmax_sets[2] == (1, 2, 4)
+        assert tbl.sigma[2] == pytest.approx(7.311173957284565, rel=1e-12)
 
     def test_tau_monotone_and_matches_rho(self):
         for seed in range(40):
