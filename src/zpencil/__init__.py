@@ -24,10 +24,11 @@ from .digraph import (
 from .eigenstructure import (
     ClassLabel,
     ConstructionFailedError,
+    CriticalClasses,
     EigenBasisVector,
     NotMMatrixError,
     class_labels,
-    critical_digraph,
+    critical_classes,
     m_nullbasis,
     pencil_eigenbasis,
 )
@@ -60,7 +61,6 @@ from .pencil import (
     validate,
     zs_bound,
 )
-from .testkit import GenConfig, gen_pencil, oracle_classify, oracle_pencil_eigs
 from .zmatrix import (
     EnumerationLimitError,
     MStatus,
@@ -69,7 +69,6 @@ from .zmatrix import (
     classify_direct,
     is_z_matrix,
     m_status,
-    rho_s,
     z_decompose,
 )
 
@@ -85,16 +84,14 @@ __all__ = [
     "reduced_graph_to_dot",
     # zmatrix
     "MStatus", "ZDecomposition", "NotZMatrixError", "EnumerationLimitError",
-    "is_z_matrix", "z_decompose", "m_status", "rho_s", "classify_direct",
+    "is_z_matrix", "z_decompose", "m_status", "classify_direct",
     # pencil
     "Pencil", "ValidationReport", "ValidationFailedError", "SpectralSummary",
     "ThresholdTable", "Segment", "IntervalPartition", "CriticalClassBound",
     "validate", "spectral_summary", "thresholds", "classify_at", "partition",
     "m_trichotomy", "zs_bound",
     # eigenstructure
-    "ClassLabel", "EigenBasisVector", "NotMMatrixError",
-    "ConstructionFailedError", "class_labels", "critical_digraph",
+    "ClassLabel", "CriticalClasses", "EigenBasisVector", "NotMMatrixError",
+    "ConstructionFailedError", "class_labels", "critical_classes",
     "m_nullbasis", "pencil_eigenbasis",
-    # testkit
-    "GenConfig", "gen_pencil", "oracle_pencil_eigs", "oracle_classify",
 ]

@@ -5,12 +5,15 @@ whitespace-separated rows, then ``B:`` and n rows.  ``#`` starts a comment
 and blank lines are ignored.  A JSON twin ``{"n":..,"A":[[..]],"B":[[..]]}``
 is accepted when the payload starts with ``{``.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error (including an
+order above the enumeration guard), 3 a tolerance breakdown while building
+the eigenvectors (:class:`~zpencil.eigenstructure.ConstructionFailedError`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -30,8 +33,8 @@ from .digraph import (
     union,
 )
 from .eigenstructure import (
-    class_labels,
-    critical_digraph,
+    ConstructionFailedError,
+    critical_classes,
     pencil_eigenbasis,
     rho_ambiguous,
 )
@@ -48,6 +51,7 @@ from .pencil import (
     validate,
     zs_bound,
 )
+from .zmatrix import EnumerationLimitError
 
 __all__ = ["PencilFormatError", "parse_pencil", "format_pencil", "build_report", "main"]
 
@@ -238,8 +242,8 @@ def _eigenbasis_json(basis) -> list:
     ]
 
 
-def _warn_if_ambiguous(summary, tol: TolerancePolicy) -> None:
-    if rho_ambiguous(summary, tol):
+def _warn_if_ambiguous(rho_ab: float, tol: TolerancePolicy) -> None:
+    if rho_ambiguous(rho_ab, tol):
         print(
             "warning: rho_ab is within 10x the singularity tolerance of zero; "
             "the digraph choice is ambiguous",
@@ -259,9 +263,8 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     summary = spectral_summary(p, tol)
     tbl = thresholds(p, tol)
     part = partition(p, tbl, tol)
-    _, gamma = critical_digraph(p, summary, tol)
-    labels = class_labels(summary.rho_ab * p.B - p.A, gamma, tol)
-    basis = pencil_eigenbasis(p, summary, tol)
+    crit = critical_classes(p, summary, tol)
+    basis = pencil_eigenbasis(p, crit, tol)
     union_classes = classes(union(digraph_of(p.A, tol), digraph_of(p.B, tol)))
     bounds = zs_bound(p, tbl, union_classes, tol)
     return {
@@ -271,7 +274,7 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
         "sigma": [float(v) for v in tbl.sigma],
         "tau": [float(v) for v in tbl.tau],
         "partition": _partition_json(part),
-        "classes": _classes_json(labels),
+        "classes": _classes_json(crit.labels),
         "eigenbasis": _eigenbasis_json(basis),
         "bounds": [
             {"vertices": list(b.vertices), "m": b.m, "s_upper": b.s_upper}
@@ -396,14 +399,13 @@ def cmd_sweep(p: Pencil, args, tol: TolerancePolicy) -> int:
 
 
 def cmd_classes(p: Pencil, args, tol: TolerancePolicy) -> int:
-    summary = spectral_summary(p, tol)
-    gamma_name, gamma = critical_digraph(p, summary, tol)
-    labels = _classes_json(class_labels(summary.rho_ab * p.B - p.A, gamma, tol))
-    _warn_if_ambiguous(summary, tol)
+    crit = critical_classes(p, spectral_summary(p, tol), tol)
+    labels = _classes_json(crit.labels)
+    _warn_if_ambiguous(crit.rho_ab, tol)
     if args.json:
-        _print_json({"gamma": gamma_name, "classes": labels})
+        _print_json({"gamma": crit.name, "classes": labels})
         return 0
-    print(f"classes of {'G(A) union G(B)' if gamma_name == 'union' else 'G(A)'} "
+    print(f"classes of {'G(A) union G(B)' if crit.name == 'union' else 'G(A)'} "
           f"against rho_ab*B - A:")
     for i, label in enumerate(labels, start=1):
         _print_class_line(i, label)
@@ -411,13 +413,13 @@ def cmd_classes(p: Pencil, args, tol: TolerancePolicy) -> int:
 
 
 def cmd_eigvecs(p: Pencil, args, tol: TolerancePolicy) -> int:
-    summary = spectral_summary(p, tol)
-    basis = _eigenbasis_json(pencil_eigenbasis(p, summary, tol))
-    _warn_if_ambiguous(summary, tol)
+    crit = critical_classes(p, spectral_summary(p, tol), tol)
+    basis = _eigenbasis_json(pencil_eigenbasis(p, crit, tol))
+    _warn_if_ambiguous(crit.rho_ab, tol)
     if args.json:
         _print_json(basis)
         return 0
-    print(f"rho_ab = {_fmt(summary.rho_ab)}; {len(basis)} nonnegative eigenvector(s):")
+    print(f"rho_ab = {_fmt(crit.rho_ab)}; {len(basis)} nonnegative eigenvector(s):")
     for i, vec in enumerate(basis, start=1):
         values = " ".join(repr(v) for v in vec["values"])
         print(f"  x{i}: origin {_set_str(vec['origin_class'])}, "
@@ -436,7 +438,7 @@ def cmd_report(p: Pencil, args, tol: TolerancePolicy) -> int:
         else:
             _print_validation(validation)
         return 1
-    _warn_if_ambiguous(spectral_summary(p, tol), tol)
+    _warn_if_ambiguous(payload["rho_ab"], tol)
     if args.json:
         _print_json(payload)
         return 0
@@ -477,7 +479,9 @@ def cmd_graph(p: Pencil, args, tol: TolerancePolicy) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="zpencil",
         description="Analyze the Z-matrix pencil t*B - A on [0, 1]: "
@@ -529,9 +533,12 @@ def main(argv=None) -> int:
             raise CliUsageError(f"cannot read {args.file}: {exc}") from None
         p = parse_pencil(text)
         return args.func(p, args, tol)
-    except (CliUsageError, PencilFormatError) as exc:
+    except (CliUsageError, PencilFormatError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConstructionFailedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValidationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for v in exc.report.violations:

@@ -37,9 +37,10 @@ __all__ = [
     "NotMMatrixError",
     "ConstructionFailedError",
     "ClassLabel",
+    "CriticalClasses",
     "EigenBasisVector",
     "class_labels",
-    "critical_digraph",
+    "critical_classes",
     "m_nullbasis",
     "pencil_eigenbasis",
     "rho_ambiguous",
@@ -201,26 +202,44 @@ def m_nullbasis(X, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[EigenBasisVector
     return vectors
 
 
-def critical_digraph(
+@dataclass(frozen=True, eq=False)
+class CriticalClasses:
+    """The classes of ``graph``, labelled against ``rho_ab*B - A``.
+
+    ``graph`` carries classes and access at the critical value: ``name``
+    ``"union"`` is ``G(A) union G(B)``, and ``"a"`` is ``G(A)``, used when
+    ``rho_ab`` is numerically zero, since ``rho_ab*B - A`` is then ``-A``.
+    """
+
+    rho_ab: float
+    name: str
+    graph: Digraph
+    labels: tuple[ClassLabel, ...]
+
+
+def critical_classes(
     p: Pencil,
     summary: SpectralSummary,
     tol: TolerancePolicy = DEFAULT_TOL,
-) -> tuple[str, Digraph]:
-    """The digraph carrying classes and access at the critical value:
-    ``("union", G(A) union G(B))``, or ``("a", G(A))`` when ``rho_ab`` is
-    numerically zero, since ``rho_ab*B - A`` is then ``-A``."""
-    if summary.rho_ab > tol.rel_sing:
-        return "union", union(digraph_of(p.A, tol), digraph_of(p.B, tol))
-    return "a", digraph_of(p.A, tol)
+) -> CriticalClasses:
+    """The digraph at the critical value of ``summary`` and its labelled
+    classes; the one place the digraph rule is decided."""
+    rho = summary.rho_ab
+    if rho > tol.rel_sing:
+        name, graph = "union", union(digraph_of(p.A, tol), digraph_of(p.B, tol))
+    else:
+        name, graph = "a", digraph_of(p.A, tol)
+    labels = class_labels(rho * p.B - p.A, graph, tol)
+    return CriticalClasses(rho_ab=rho, name=name, graph=graph, labels=labels)
 
 
 def pencil_eigenbasis(
     p: Pencil,
-    summary: SpectralSummary,
+    crit: CriticalClasses,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> tuple[EigenBasisVector, ...]:
     """Nonnegative eigenvectors of the pencil at the critical value, one
-    per distinguished class of :func:`critical_digraph`.
+    per distinguished class of ``crit`` (from :func:`critical_classes`).
 
     Each vector satisfies ``A x = rho_ab * B x`` within
     ``RESIDUAL_FACTOR * max(||A||, ||B||)`` and is positive exactly on the
@@ -229,11 +248,8 @@ def pencil_eigenbasis(
     report = validate(p, tol)
     if not report.ok:
         raise ValidationFailedError(report)
-    rho = summary.rho_ab
-    X = rho * p.B - p.A
-    _, gamma = critical_digraph(p, summary, tol)
-    labels = class_labels(X, gamma, tol)
-    vectors = _build_basis(X, gamma, labels, tol)
+    rho = crit.rho_ab
+    vectors = _build_basis(rho * p.B - p.A, crit.graph, crit.labels, tol)
     limit = RESIDUAL_FACTOR * max(inf_norm(p.A), inf_norm(p.B))
     for vec in vectors:
         if inf_norm(p.A @ vec.x - rho * (p.B @ vec.x)) > limit:
@@ -241,7 +257,7 @@ def pencil_eigenbasis(
     return vectors
 
 
-def rho_ambiguous(summary: SpectralSummary, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def rho_ambiguous(rho_ab: float, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True when the critical value is positive but so close to zero that
     the digraph choice for the eigenbasis is numerically ambiguous."""
-    return 0.0 < summary.rho_ab < 10.0 * tol.rel_sing
+    return 0.0 < rho_ab < 10.0 * tol.rel_sing

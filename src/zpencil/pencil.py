@@ -151,24 +151,18 @@ def validate(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> ValidationReport:
                       f"{diff[i, j]:.6g} is positive")
         )
 
-    c3 = False
+    # A Z-matrix must pass the M-test first; otherwise the test is
+    # inapplicable and a positive solution of (B-A)u = 1 alone decides.
     witness: np.ndarray | None = None
-    if zmatrix.is_z_matrix(diff, tol):
-        if zmatrix.m_status(diff, tol) is MStatus.NONSINGULAR_M:
-            u = linalg.solve(diff, np.ones(n), tol)
-            if float(u.min()) > floor:
-                c3 = True
-                witness = u
-    else:
-        # M-test inapplicable; a positive solution of (B-A)u = 1 still
-        # certifies the condition directly.
+    if (not zmatrix.is_z_matrix(diff, tol)
+            or zmatrix.m_status(diff, tol) is MStatus.NONSINGULAR_M):
         try:
             u = linalg.solve(diff, np.ones(n), tol)
-            if float(u.min()) > floor:
-                c3 = True
-                witness = u
         except linalg.SingularMatrixError:
-            pass
+            u = None
+        if u is not None and float(u.min()) > floor:
+            witness = u
+    c3 = witness is not None
     if not c3:
         violations.append(
             Violation(3, None,

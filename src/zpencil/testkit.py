@@ -1,11 +1,12 @@
 """Deterministic pencil generation and definition-level oracles for the
 test suites.
 
-The generator builds pencils that satisfy all three admission conditions
-by construction, so property suites never need rejection sampling.  The
-oracles here deliberately avoid the code paths they are used to check:
-pencil eigenvalues come from an explicit determinant-polynomial expansion,
-and classification comes straight from the defining inequalities.
+The generator builds pencils that meet the admission conditions by
+construction, condition 3 with a margin its docstring states, so property
+suites never need rejection sampling.  The oracles here deliberately
+avoid the code paths they are used to check: pencil eigenvalues come from
+an explicit determinant-polynomial expansion, and classification comes
+straight from the defining inequalities.
 """
 
 from __future__ import annotations
@@ -15,15 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, TolerancePolicy, as_square, inf_norm
+from .linalg import (
+    DEFAULT_TOL,
+    TolerancePolicy,
+    as_square,
+    inf_norm,
+    spectral_radius,
+    submatrix,
+)
 from .pencil import Pencil
-from .zmatrix import rho_s, z_decompose
+from .zmatrix import MAX_ENUMERATION_ORDER, _check_order_guard, z_decompose
 
 __all__ = [
     "GenConfig",
     "PencilSpectrum",
     "gen_pencil",
     "oracle_pencil_eigs",
+    "rho_s",
     "oracle_classify",
 ]
 
@@ -55,13 +64,16 @@ class GenConfig:
 
 
 def gen_pencil(cfg: GenConfig) -> Pencil:
-    """Random pencil satisfying all three admission conditions.
+    """Random pencil meeting conditions 1 and 2, and condition 3 with the
+    margin ``dominance_slack``.
 
     A is nonnegative with the requested fill density; B = A + (D - N)
-    where N is a nonnegative off-diagonal sample and D makes every row of
-    D - N strictly dominant by ``dominance_slack``.  Then B - A is a
-    nonsingular M-matrix by construction and the all-ones vector witnesses
-    the positivity condition.
+    where N is a nonnegative off-diagonal sample and D makes every row sum
+    of D - N equal ``dominance_slack``.  So ``P = q*I - (B - A)``, with
+    ``q`` the largest diagonal entry, has constant row sums and Perron root
+    ``q - dominance_slack``, and :func:`~zpencil.pencil.validate` admits
+    condition 3 iff ``dominance_slack > tol.rel_sing * max(1, ||B - A||_inf)``
+    (the band of :func:`~zpencil.zmatrix.m_status`), up to rounding in B - A.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
@@ -131,6 +143,31 @@ def oracle_pencil_eigs(p: Pencil) -> PencilSpectrum:
     roots = np.roots(coeffs[degree::-1])
     finite = tuple(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))
     return PencilSpectrum(finite=finite, infinite_count=n - degree)
+
+
+def rho_s(
+    P,
+    s: int,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    max_order: int = MAX_ENUMERATION_ORDER,
+) -> float:
+    """Max spectral radius over all order-``s`` principal submatrices of a
+    nonnegative ``P``.
+
+    ``s = n + 1`` returns ``+inf`` by convention (there is no submatrix of
+    order n+1, and the value acts as an upper sentinel in classification).
+    """
+    m = as_square(P)
+    n = m.shape[0]
+    if s == n + 1:
+        return float("inf")
+    if not 1 <= s <= n:
+        raise ValueError(f"s={s} out of range 1..{n}")
+    _check_order_guard(n, max_order)
+    best = 0.0
+    for J in itertools.combinations(range(1, n + 1), s):
+        best = max(best, spectral_radius(submatrix(m, J), tol))
+    return best
 
 
 def oracle_classify(X, tol: TolerancePolicy = DEFAULT_TOL) -> int:

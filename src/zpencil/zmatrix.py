@@ -35,7 +35,6 @@ __all__ = [
     "is_z_matrix",
     "z_decompose",
     "m_status",
-    "rho_s",
     "classify_direct",
 ]
 
@@ -115,31 +114,6 @@ def _check_order_guard(n: int, max_order: int) -> None:
             f"order {n} exceeds the enumeration guard {max_order}; "
             "pass max_order explicitly to override"
         )
-
-
-def rho_s(
-    P,
-    s: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    max_order: int = MAX_ENUMERATION_ORDER,
-) -> float:
-    """Max spectral radius over all order-``s`` principal submatrices of a
-    nonnegative ``P``.
-
-    ``s = n + 1`` returns ``+inf`` by convention (there is no submatrix of
-    order n+1, and the value acts as an upper sentinel in classification).
-    """
-    m = as_square(P)
-    n = m.shape[0]
-    if s == n + 1:
-        return float("inf")
-    if not 1 <= s <= n:
-        raise ValueError(f"s={s} out of range 1..{n}")
-    _check_order_guard(n, max_order)
-    best = 0.0
-    for J in itertools.combinations(range(1, n + 1), s):
-        best = max(best, spectral_radius(submatrix(m, J), tol))
-    return best
 
 
 def classify_direct(

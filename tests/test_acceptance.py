@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment, nnls
 
 from zpencil.digraph import classes, digraph_of, union
-from zpencil.eigenstructure import pencil_eigenbasis
+from zpencil.eigenstructure import critical_classes, pencil_eigenbasis
 from zpencil.linalg import inf_norm
 from zpencil.pencil import (
     classify_at,
@@ -107,7 +107,7 @@ def test_criterion_2_example2_golden(ex2):
     segs = partition(ex2, tbl).segments
     assert [seg.s for seg in segs] == [0, 1, 4]
     summary = spectral_summary(ex2)
-    vecs = pencil_eigenbasis(ex2, summary)
+    vecs = pencil_eigenbasis(ex2, critical_classes(ex2, summary))
     assert len(vecs) == 1
     x = vecs[0].x
     assert abs(x[0]) <= 1e-10 and abs(x[2]) <= 1e-10
@@ -129,7 +129,7 @@ def test_criterion_3_example3_golden(ex3):
     for t in np.linspace(0.0, 1.0, 11):
         assert classify_at(ex3, t, tbl) == 2
     assert m_trichotomy(ex3, 0.0) is MStatus.SINGULAR_M
-    vecs = pencil_eigenbasis(ex3, summary)
+    vecs = pencil_eigenbasis(ex3, critical_classes(ex3, summary))
     assert len(vecs) == 1
     assert np.array_equal(vecs[0].x, [1.0, 0.0])
     # the construction graph is G(A): the support is the access closure of
@@ -210,7 +210,7 @@ def test_criterion_8_eigenbasis_suite(small_instances):
     assert len(small_instances) >= 100
     for p in small_instances:
         summary = spectral_summary(p)
-        vecs = pencil_eigenbasis(p, summary)
+        vecs = pencil_eigenbasis(p, critical_classes(p, summary))
         # the critical member is singular, so the nullity is at least 1
         assert vecs
         limit = 1e-8 * max(inf_norm(p.A), inf_norm(p.B))

@@ -5,14 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zpencil.cli
+import zpencil.eigenstructure
 import zpencil.pencil
 from zpencil.cli import (
     PencilFormatError,
+    _build_parser,
     build_report,
     format_pencil,
     main,
     parse_pencil,
 )
+from zpencil.eigenstructure import ConstructionFailedError
 from zpencil.pencil import Pencil
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -255,6 +259,86 @@ class TestOneValidationPerAnalysis:
     def test_cli(self, capsys, evaluations, argv):
         assert main([argv[0], str(DATA_DIR / argv[1]), *argv[2:]]) == 0
         assert len(evaluations) == 1
+
+
+class TestOneStepPerReport:
+    """A report makes one spectral summary and labels the classes at the
+    critical value once; the eigenbasis and the warning reuse them."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        made = {"summary": 0, "labels": 0}
+        real_summary = zpencil.pencil.SpectralSummary
+        real_labels = zpencil.eigenstructure.class_labels
+
+        def summary(*args, **kwargs):
+            made["summary"] += 1
+            return real_summary(*args, **kwargs)
+
+        def labels(*args, **kwargs):
+            made["labels"] += 1
+            return real_labels(*args, **kwargs)
+
+        monkeypatch.setattr(zpencil.pencil, "SpectralSummary", summary)
+        for module in (zpencil.eigenstructure, zpencil.cli):
+            if hasattr(module, "class_labels"):
+                monkeypatch.setattr(module, "class_labels", labels)
+        return made
+
+    def test_build_report(self, ex2, steps):
+        build_report(ex2)
+        assert steps == {"summary": 1, "labels": 1}
+
+    @pytest.mark.parametrize("argv", [["report", "--json"], ["report"]])
+    def test_cli(self, capsys, steps, argv):
+        assert main([argv[0], str(DATA_DIR / "ex2.pencil"), *argv[1:]]) == 0
+        assert steps == {"summary": 1, "labels": 1}
+
+
+class TestLibraryErrors:
+    """Errors the library raises on admitted pencils end in one
+    ``error:`` line on stderr and a documented exit code."""
+
+    @pytest.fixture
+    def order17(self, tmp_path):
+        path = tmp_path / "order17.pencil"
+        path.write_text(format_pencil(Pencil(A=np.zeros((17, 17)), B=np.eye(17))))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["report", "--json"], ["thresholds"], ["thresholds", "--json"],
+        ["sweep", "--steps", "3"], ["classify", "--t", "0.5"],
+    ])
+    def test_order_above_the_enumeration_guard_exits_2(self, order17, capsys, argv):
+        assert main([argv[0], order17, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: order 17 exceeds the enumeration guard 16")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["report", "--json"], ["eigvecs"], ["eigvecs", "--json"],
+    ])
+    def test_construction_failure_exits_3(self, monkeypatch, capsys, argv):
+        def fail(*args, **kwargs):
+            raise ConstructionFailedError("kernel lost")
+
+        monkeypatch.setattr(zpencil.cli, "pencil_eigenbasis", fail)
+        assert main([argv[0], str(DATA_DIR / "ex2.pencil"), *argv[1:]]) == 3
+        assert capsys.readouterr() == ("", "error: kernel lost\n")
+
+
+class TestParser:
+    def test_built_once_and_reused_without_leaking_options(self, capsys):
+        parser = _build_parser()
+        ex3 = str(DATA_DIR / "ex3.pencil")
+        assert main(["graph", ex3]) == 0
+        union = capsys.readouterr().out
+        assert main(["graph", ex3, "--kind", "a"]) == 0
+        assert capsys.readouterr().out != union
+        assert main(["graph", ex3]) == 0
+        assert capsys.readouterr().out == union
+        assert _build_parser() is parser
 
 
 def assert_matches_golden(got, want, path="$"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -6,7 +8,7 @@ from zpencil.digraph import classes, digraph_of, union
 from zpencil.eigenstructure import (
     NotMMatrixError,
     class_labels,
-    critical_digraph,
+    critical_classes,
     m_nullbasis,
     pencil_eigenbasis,
     rho_ambiguous,
@@ -76,7 +78,7 @@ class TestMNullbasis:
 class TestPencilEigenbasis:
     def test_golden_support(self, ex2):
         summary = spectral_summary(ex2)
-        vecs = pencil_eigenbasis(ex2, summary)
+        vecs = pencil_eigenbasis(ex2, critical_classes(ex2, summary))
         assert len(vecs) == 1
         x = vecs[0].x
         assert abs(x[0]) <= 1e-10 and abs(x[2]) <= 1e-10
@@ -85,28 +87,42 @@ class TestPencilEigenbasis:
 
     def test_golden_zero_critical_value(self, ex3):
         summary = spectral_summary(ex3)
-        vecs = pencil_eigenbasis(ex3, summary)
+        vecs = pencil_eigenbasis(ex3, critical_classes(ex3, summary))
         assert len(vecs) == 1
         assert np.array_equal(vecs[0].x, [1.0, 0.0])
 
     def test_trivial_pencil_full_basis(self):
         p = Pencil(A=np.zeros((3, 3)), B=np.eye(3))
-        vecs = pencil_eigenbasis(p, spectral_summary(p))
+        vecs = pencil_eigenbasis(p, critical_classes(p, spectral_summary(p)))
         assert len(vecs) == 3
         assert np.array_equal(np.array([v.x for v in vecs]), np.eye(3))
 
     def test_critical_digraph_follows_the_critical_value(self, ex2, ex3):
-        name, gamma = critical_digraph(ex2, spectral_summary(ex2))
+        crit = critical_classes(ex2, spectral_summary(ex2))
+        name, gamma = crit.name, crit.graph
         assert name == "union"
         assert gamma == union(digraph_of(ex2.A), digraph_of(ex2.B))
         # rho_ab = 0 leaves -A, so the pattern of B drops out
-        name, gamma = critical_digraph(ex3, spectral_summary(ex3))
+        crit = critical_classes(ex3, spectral_summary(ex3))
+        name, gamma = crit.name, crit.graph
         assert name == "a"
         assert gamma == digraph_of(ex3.A) != union(digraph_of(ex3.A), digraph_of(ex3.B))
 
+    def test_critical_classes_feed_the_eigenbasis(self, ex2):
+        summary = spectral_summary(ex2)
+        crit = critical_classes(ex2, summary)
+        assert crit.rho_ab == summary.rho_ab
+        assert crit.labels == class_labels(
+            summary.rho_ab * ex2.B - ex2.A, crit.graph)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            crit.labels = ()
+        vecs = pencil_eigenbasis(ex2, crit)
+        assert [v.origin_class for v in vecs] == [
+            lab.vertices for lab in crit.labels if lab.is_distinguished]
+
     def test_rho_ambiguity_flag(self, ex3):
         summary = spectral_summary(ex3)
-        assert not rho_ambiguous(summary)
+        assert not rho_ambiguous(summary.rho_ab)
 
 
 class TestRandomPencilProperties:
@@ -119,7 +135,7 @@ class TestRandomPencilProperties:
             p = gen_pencil(cfg)
             summary = spectral_summary(p)
             gamma = critical_graph(p, summary.rho_ab)
-            for vec in pencil_eigenbasis(p, summary):
+            for vec in pencil_eigenbasis(p, critical_classes(p, summary)):
                 positive = tuple(
                     int(i) + 1 for i in np.nonzero(vec.x > 1e-10)[0]
                 )
@@ -130,14 +146,14 @@ class TestRandomPencilProperties:
             p = gen_pencil(cfg)
             summary = spectral_summary(p)
             limit = 1e-8 * max(inf_norm(p.A), inf_norm(p.B))
-            for vec in pencil_eigenbasis(p, summary):
+            for vec in pencil_eigenbasis(p, critical_classes(p, summary)):
                 assert inf_norm(p.A @ vec.x - summary.rho_ab * (p.B @ vec.x)) <= limit
 
     def test_linear_independence(self):
         for cfg in self.CONFIGS:
             p = gen_pencil(cfg)
             summary = spectral_summary(p)
-            vecs = pencil_eigenbasis(p, summary)
+            vecs = pencil_eigenbasis(p, critical_classes(p, summary))
             if not vecs:
                 continue
             stack = np.column_stack([v.x for v in vecs])
@@ -151,7 +167,7 @@ class TestRandomPencilProperties:
         for cfg in self.CONFIGS:
             p = gen_pencil(cfg)
             summary = spectral_summary(p)
-            vecs = pencil_eigenbasis(p, summary)
+            vecs = pencil_eigenbasis(p, critical_classes(p, summary))
             assert vecs, "critical member always carries a kernel vector"
             X = summary.rho_ab * p.B - p.A
             eps = 1e-8 * max(1.0, inf_norm(X))

@@ -79,6 +79,19 @@ class TestValidate:
         bad = [v for v in report.violations if v.condition == 2]
         assert bad and bad[0].position == (1, 2)
 
+    def test_non_z_difference_is_decided_by_the_witness_alone(self, ex1):
+        # B - A = [[1, 0.5], [0, 1]] is no Z-matrix, but u = (0.5, 1) > 0
+        B = ex1.B.copy()
+        B[0, 1] = 2.5
+        report = validate(Pencil(A=ex1.A, B=B))
+        assert not report.c2_holds and report.c3_holds
+        assert np.allclose(report.witness_u, [0.5, 1.0])
+        # B - A = [[1, 1], [1, 1]] is singular, so no witness exists
+        B = ex1.A + 1.0
+        report = validate(Pencil(A=ex1.A, B=B))
+        assert not report.c2_holds and not report.c3_holds
+        assert report.witness_u is None
+
 
 class TestValidationRecord:
     def test_verdict_is_recorded_per_policy(self, ex2):

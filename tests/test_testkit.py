@@ -1,7 +1,15 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zpencil
 from zpencil.cli import parse_pencil
+from zpencil.linalg import DEFAULT_TOL, inf_norm
 from zpencil.pencil import validate
 from zpencil.testkit import (
     GenConfig,
@@ -23,6 +31,29 @@ class TestGenPencil:
             for seed in range(10):
                 cfg = GenConfig(n=n, seed=seed, density=0.2 + 0.1 * (seed % 7))
                 assert validate(gen_pencil(cfg)).ok
+
+    def test_condition_3_follows_the_stated_margin(self):
+        # validate admits condition 3 iff dominance_slack exceeds
+        # rel_sing * max(1, ||B - A||_inf); configs within a factor 2 of
+        # that band are left out, since rounding in B - A decides them
+        admitted = refused = 0
+        grid = itertools.product(
+            range(1, 9), (0.05, 0.2, 0.5, 1.0), 10.0 ** np.arange(-6, 7, 2),
+            10.0 ** np.arange(-12, 1),
+        )
+        for seed, (n, density, magnitude, slack) in enumerate(grid):
+            cfg = GenConfig(n=n, seed=seed, density=density,
+                            magnitude=magnitude, dominance_slack=slack)
+            p = gen_pencil(cfg)
+            band = DEFAULT_TOL.rel_sing * max(1.0, inf_norm(p.B - p.A))
+            if band / 2 <= slack <= 2 * band:
+                continue
+            report = validate(p)
+            assert report.c1_holds and report.c2_holds, cfg
+            assert report.c3_holds == (slack > band), cfg
+            admitted += report.c3_holds
+            refused += not report.c3_holds
+        assert admitted > 1000 and refused > 500
 
     def test_deterministic_in_seed(self):
         cfg = GenConfig(n=5, seed=99, density=0.4)
@@ -108,3 +139,16 @@ class TestTripleAgreement:
                 b = classify_direct(member)
                 c = oracle_classify(member)
                 assert a == b == c
+
+
+def test_package_import_leaves_testkit_unloaded():
+    src = Path(zpencil.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zpencil; print('zpencil.testkit' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
+    assert not {"rho_s", "gen_pencil", "GenConfig"} & set(zpencil.__all__)

@@ -11,9 +11,9 @@ from zpencil.zmatrix import (
     classify_direct,
     is_z_matrix,
     m_status,
-    rho_s,
     z_decompose,
 )
+from zpencil.testkit import rho_s
 
 
 def random_z_matrix(rng, n):
