@@ -41,6 +41,7 @@ from .linalg import (
     nullspace,
     perron_vector,
     solve,
+    solve_stack,
     spectral_radius,
     submatrix,
 )
@@ -76,8 +77,8 @@ __all__ = [
     "__version__",
     # linalg
     "TolerancePolicy", "DEFAULT_TOL", "SingularMatrixError", "submatrix",
-    "inf_norm", "spectral_radius", "perron_vector", "solve", "nullspace",
-    "is_singular",
+    "inf_norm", "spectral_radius", "perron_vector", "solve", "solve_stack",
+    "nullspace", "is_singular",
     # digraph
     "Digraph", "ClassPartition", "ReducedGraph", "digraph_of", "union",
     "classes", "reduced_graph", "access_set", "digraph_to_dot",

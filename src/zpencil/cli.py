@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -158,8 +159,10 @@ def _tolerance_from_env() -> TolerancePolicy:
         value = float(raw)
     except ValueError:
         raise CliUsageError(f"ZPENCIL_TOL_REL_SING={raw!r} is not a number") from None
-    if value <= 0.0:
-        raise CliUsageError("ZPENCIL_TOL_REL_SING must be positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise CliUsageError(
+            f"ZPENCIL_TOL_REL_SING={raw!r} must be a positive finite number"
+        )
     return TolerancePolicy(
         rel_sing=value,
         rel_eig=min(DEFAULT_TOL.rel_eig, value),
@@ -265,8 +268,11 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     part = partition(p, tbl, tol)
     crit = critical_classes(p, summary, tol)
     basis = pencil_eigenbasis(p, crit, tol)
-    union_classes = classes(union(digraph_of(p.A, tol), digraph_of(p.B, tol)))
-    bounds = zs_bound(p, tbl, union_classes, tol)
+    if crit.name == "union":
+        union_graph = crit.graph
+    else:
+        union_graph = union(digraph_of(p.A, tol), digraph_of(p.B, tol))
+    bounds = zs_bound(p, tbl, classes(union_graph), tol)
     return {
         "validation": _validation_dict(report),
         "mu": float(summary.mu),

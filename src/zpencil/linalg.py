@@ -1,7 +1,7 @@
 """Dense real matrix kernel shared by the whole package.
 
-Everything operates on square numpy arrays of float64 and is a pure
-function; nothing mutates its arguments.  Index sets are 1-based in the
+Everything operates on square numpy arrays of float64 (``solve_stack`` on
+a stack of them) and is a pure function; nothing mutates its arguments.  Index sets are 1-based in the
 public API, matching the usual notation for principal submatrices; the
 0-based conversion happens internally.  Rank and singularity decisions
 are governed by a single :class:`TolerancePolicy` threaded through all
@@ -10,6 +10,7 @@ calls, so no operation hardcodes its own threshold.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -29,6 +30,7 @@ __all__ = [
     "spectral_radius",
     "perron_vector",
     "solve",
+    "solve_stack",
     "nullspace",
     "is_singular",
 ]
@@ -59,7 +61,10 @@ class TolerancePolicy:
     abs_floor: float = 1e-13
 
     def __post_init__(self) -> None:
-        if min(self.rel_sing, self.rel_eig, self.abs_floor) <= 0.0:
+        values = (self.rel_sing, self.rel_eig, self.abs_floor)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("all tolerances must be finite")
+        if min(values) <= 0.0:
             raise ValueError("all tolerances must be strictly positive")
         if self.rel_eig > self.rel_sing:
             raise ValueError("rel_eig must not exceed rel_sing")
@@ -207,6 +212,59 @@ def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
             f"pivot {smallest_pivot:.3e} at or below singularity threshold"
         )
     return lu_solve((lu, piv), b, check_finite=False)
+
+
+def _smallest_pivots(X: np.ndarray) -> np.ndarray:
+    """Smallest |pivot| of each matrix of a (k, s, s) stack under LU with
+    partial pivoting, all k eliminated together."""
+    a = X.copy()
+    k, s, _ = a.shape
+    stack = np.arange(k)
+    smallest = np.full(k, np.inf)
+    for j in range(s):
+        p = j + np.argmax(np.abs(a[:, j:, j]), axis=1)
+        row = a[stack, p]  # the pivot rows; row j is not read again
+        a[stack, p] = a[:, j]
+        pivot = row[:, j]
+        smallest = np.minimum(smallest, np.abs(pivot))
+        # A zero pivot has a zero column below it: nothing to eliminate.
+        factors = a[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        a[:, j + 1:, j + 1:] -= factors[:, :, None] * row[:, None, j + 1:]
+    return smallest
+
+
+def solve_stack(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Solve ``X[i] Y[i] = rhs[i]`` for a stack of k square matrices.
+
+    ``X`` has shape (k, s, s) and ``rhs`` shape (k, s, m).  The singularity
+    test is that of :func:`solve`, per matrix: :class:`SingularMatrixError`
+    (naming the first offending stack index) when a pivot of LU with
+    partial pivoting falls to or below ``tol.rel_sing * ||X[i]||_inf``.
+    The values are those of ``np.linalg.solve`` on the whole stack, equal
+    bit for bit to solving the matrices one at a time with it.
+    """
+    m = np.asarray(X, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"stack must have shape (k, s, s) with s >= 1, got {m.shape}")
+    if b.ndim != 3 or b.shape[:2] != m.shape[:2]:
+        raise ValueError(
+            f"right-hand side shape {b.shape} incompatible with stack shape {m.shape}"
+        )
+    if m.size and not np.all(np.isfinite(m)):
+        raise ValueError("stack contains non-finite entries")
+    if b.size and not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side contains non-finite entries")
+    smallest = _smallest_pivots(m)
+    limit = tol.rel_sing * np.abs(m).sum(axis=2).max(axis=1)
+    bad = np.flatnonzero(smallest <= limit)
+    if bad.size:
+        i = int(bad[0])
+        raise SingularMatrixError(
+            f"stack index {i}: pivot {smallest[i]:.3e} at or below "
+            "singularity threshold"
+        )
+    return np.linalg.solve(m, b)
 
 
 def nullspace(X, tol: TolerancePolicy = DEFAULT_TOL) -> list[np.ndarray]:

@@ -184,17 +184,18 @@ def _require_valid(p: Pencil, tol: TolerancePolicy) -> ValidationReport:
     return report
 
 
-def _perron_of_transform(C) -> float:
+def _perron_of_transform(C) -> np.ndarray:
     # C is nonnegative in exact arithmetic, so its Perron root equals the
-    # largest real part over the spectrum.
-    eigs = np.linalg.eigvals(C)
-    return max(0.0, float(np.max(eigs.real)))
+    # largest real part over the spectrum.  Works on one matrix or a stack;
+    # the clip maps -0.0 (and NaN) to 0.0, as max(0.0, x) does.
+    top = np.linalg.eigvals(C).real.max(axis=-1)
+    return np.where(top > 0.0, top, 0.0)
 
 
 def _subpencil_perron(p: Pencil, J, tol: TolerancePolicy) -> float:
     AJ = submatrix(p.A, J)
     BJ = submatrix(p.B, J)
-    return _perron_of_transform(linalg.solve(BJ - AJ, AJ, tol))
+    return float(_perron_of_transform(linalg.solve(BJ - AJ, AJ, tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +238,11 @@ class ThresholdTable:
     ``argmax_sets[s-1]`` is the lexicographically smallest set attaining
     ``sigma_s`` within ``tol.rel_sing * |sigma_s| + tol.abs_floor`` (the
     coincidence band of :func:`partition`).  ``tau[n]`` equals ``rho_ab``.
+
+    Every set's value is the one a per-set ``np.linalg.solve`` and
+    ``np.linalg.eigvals`` give, bit for bit (:func:`thresholds` evaluates
+    them a size at a time in stacked calls), so ``sigma`` and the argmax
+    depend on the set alone, not on how the sweep is batched.
     """
 
     n: int
@@ -258,21 +264,33 @@ def thresholds(
 
     Every subpencil is well defined because principal submatrices of the
     nonsingular M-matrix ``B - A`` are themselves nonsingular M-matrices.
-    Cost is one small solve-plus-eigenvalue problem per nonempty index set
-    (2^n - 1 of them), guarded at ``max_order``.
+    The sweep visits all 2^n - 1 nonempty index sets, one size at a time:
+    the k sets of size s, in lexicographic order, go through one
+    :func:`~zpencil.linalg.solve_stack` for ``(B_J - A_J)^{-1} A_J`` and
+    one stacked ``np.linalg.eigvals``, which give each set the same value
+    as a solve and an eigenvalue call of its own.  Memory holds one size
+    at a time.
+
+    Raises :class:`~zpencil.zmatrix.EnumerationLimitError` when
+    ``n > max_order``; library callers lift the guard by passing a larger
+    ``max_order``.
     """
     _require_valid(p, tol)
     n = p.n
     zmatrix._check_order_guard(n, max_order)
+    A, M = p.A, p.B - p.A
     sigma: list[float] = []
     argmax: list[tuple[int, ...]] = []
     for s in range(1, n + 1):
-        sets = list(itertools.combinations(range(1, n + 1), s))
-        values = [_subpencil_perron(p, J, tol) for J in sets]
-        best = max(values)
+        sets = np.array(list(itertools.combinations(range(n), s)))
+        rows, cols = sets[:, :, None], sets[:, None, :]
+        values = _perron_of_transform(
+            linalg.solve_stack(M[rows, cols], A[rows, cols], tol))
+        best = float(values.max())
         floor = best - (tol.rel_sing * abs(best) + tol.abs_floor)
         sigma.append(best)
-        argmax.append(next(J for J, v in zip(sets, values) if v >= floor))
+        first = int(np.argmax(values >= floor))
+        argmax.append(tuple(int(v) + 1 for v in sets[first]))
     tau = [0.0] + [v / (1.0 + v) for v in sigma]
     return ThresholdTable(
         n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax)

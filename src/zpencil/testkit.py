@@ -5,8 +5,9 @@ The generator builds pencils that meet the admission conditions by
 construction, condition 3 with a margin its docstring states, so property
 suites never need rejection sampling.  The oracles here deliberately
 avoid the code paths they are used to check: pencil eigenvalues come from
-an explicit determinant-polynomial expansion, and classification comes
-straight from the defining inequalities.
+an explicit determinant-polynomial expansion, classification comes
+straight from the defining inequalities, and the threshold sweep takes one
+set at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .linalg import (
     spectral_radius,
     submatrix,
 )
-from .pencil import Pencil
+from .pencil import Pencil, ThresholdTable, validate
 from .zmatrix import MAX_ENUMERATION_ORDER, _check_order_guard, z_decompose
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "oracle_pencil_eigs",
     "rho_s",
     "oracle_classify",
+    "oracle_thresholds",
 ]
 
 ORACLE_EIGS_MAX_ORDER = 6
@@ -156,6 +158,8 @@ def rho_s(
 
     ``s = n + 1`` returns ``+inf`` by convention (there is no submatrix of
     order n+1, and the value acts as an upper sentinel in classification).
+    Raises :class:`~zpencil.zmatrix.EnumerationLimitError` when
+    ``n > max_order``; pass a larger ``max_order`` to lift the guard.
     """
     m = as_square(P)
     n = m.shape[0]
@@ -189,3 +193,36 @@ def oracle_classify(X, tol: TolerancePolicy = DEFAULT_TOL) -> int:
         if rho_s(dec.P, k, tol) <= dec.q + delta:
             s = k
     return s
+
+
+def oracle_thresholds(
+    p: Pencil,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    max_order: int = MAX_ENUMERATION_ORDER,
+) -> ThresholdTable:
+    """The threshold sweep one index set at a time: a ``np.linalg.solve``
+    for ``(B_J - A_J)^{-1} A_J`` and a ``np.linalg.eigvals`` per set, with
+    the band rule of :class:`~zpencil.pencil.ThresholdTable` for the
+    argmax.  Has no singularity test; ``p`` must be admitted under ``tol``.
+    """
+    if not validate(p, tol).ok:
+        raise ValueError("oracle_thresholds needs an admitted pencil")
+    n = p.n
+    _check_order_guard(n, max_order)
+    sigma: list[float] = []
+    argmax: list[tuple[int, ...]] = []
+    for s in range(1, n + 1):
+        sets = list(itertools.combinations(range(1, n + 1), s))
+        values = []
+        for J in sets:
+            AJ = submatrix(p.A, J)
+            C = np.linalg.solve(submatrix(p.B, J) - AJ, AJ)
+            values.append(max(0.0, float(np.max(np.linalg.eigvals(C).real))))
+        best = max(values)
+        floor = best - (tol.rel_sing * abs(best) + tol.abs_floor)
+        sigma.append(best)
+        argmax.append(next(J for J, v in zip(sets, values) if v >= floor))
+    tau = [0.0] + [v / (1.0 + v) for v in sigma]
+    return ThresholdTable(
+        n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax)
+    )

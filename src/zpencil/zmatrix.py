@@ -38,8 +38,8 @@ __all__ = [
     "classify_direct",
 ]
 
-# Exhaustive subset enumeration is capped here by default; callers may
-# raise the cap explicitly for experiments.
+# Exhaustive subset enumeration is capped here by default; library callers
+# may raise the cap through the ``max_order`` parameter.
 MAX_ENUMERATION_ORDER = 16
 
 
@@ -111,8 +111,8 @@ def m_status(X, tol: TolerancePolicy = DEFAULT_TOL) -> MStatus:
 def _check_order_guard(n: int, max_order: int) -> None:
     if n > max_order:
         raise EnumerationLimitError(
-            f"order {n} exceeds the enumeration guard {max_order}; "
-            "pass max_order explicitly to override"
+            f"order {n} exceeds the enumeration guard {max_order}: "
+            f"an exhaustive sweep would visit 2^{n} - 1 index sets"
         )
 
 
@@ -127,6 +127,10 @@ def classify_direct(
     stops at the first order carrying a non-M-matrix witness and returns
     one less.  Returns ``n`` when no witness exists (the matrix is an
     M-matrix), 0 when a diagonal entry is already negative.
+
+    Raises :class:`EnumerationLimitError` when the order exceeds
+    ``max_order``; library callers lift the guard by passing a larger
+    ``max_order``.
     """
     m = as_square(X)
     if not is_z_matrix(m, tol):

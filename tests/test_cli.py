@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zpencil.cli
+import zpencil.digraph
 import zpencil.eigenstructure
 import zpencil.pencil
 from zpencil.cli import (
@@ -189,6 +190,15 @@ class TestReport:
         monkeypatch.setenv("ZPENCIL_TOL_REL_SING", "zero")
         assert main(["report", str(data_dir / "ex1.pencil")]) == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_env_tolerance_must_be_positive_and_finite(
+            self, data_dir, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ZPENCIL_TOL_REL_SING", raw)
+        assert main(["report", str(data_dir / "ex2.pencil")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: ZPENCIL_TOL_REL_SING={raw!r} must be a positive "
+            "finite number\n")
+
     def test_report_on_invalid_pencil(self, tmp_path, capsys):
         bad = tmp_path / "bad.pencil"
         bad.write_text("n = 2\nA:\n0 1\n0 0\nB:\n0 1\n0 0\n")
@@ -294,6 +304,26 @@ class TestOneStepPerReport:
         assert main([argv[0], str(DATA_DIR / "ex2.pencil"), *argv[1:]]) == 0
         assert steps == {"summary": 1, "labels": 1}
 
+    @pytest.mark.parametrize("name, gamma", [("ex2", "union"), ("ex3", "a")])
+    def test_one_union_digraph(self, request, monkeypatch, name, gamma):
+        # ex2 reads the union from the critical classes; ex3 (rho_ab = 0)
+        # labels G(A), so the bounds build the union themselves.
+        made = []
+        real = zpencil.digraph.union
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        for module in (zpencil.eigenstructure, zpencil.cli):
+            monkeypatch.setattr(module, "union", counting)
+        p = request.getfixturevalue(name)
+        assert zpencil.eigenstructure.critical_classes(
+            p, zpencil.pencil.spectral_summary(p)).name == gamma
+        made.clear()
+        build_report(p)
+        assert len(made) == 1
+
 
 class TestLibraryErrors:
     """Errors the library raises on admitted pencils end in one
@@ -315,6 +345,14 @@ class TestLibraryErrors:
         assert out == ""
         assert err.startswith("error: order 17 exceeds the enumeration guard 16")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["report", "thresholds"])
+    def test_guard_message_offers_nothing_the_cli_cannot_do(
+            self, order17, capsys, command):
+        assert main([command, order17]) == 2
+        err = capsys.readouterr().err
+        assert "max_order" not in err
+        assert "2^17 - 1 index sets" in err
 
     @pytest.mark.parametrize("argv", [
         ["report"], ["report", "--json"], ["eigvecs"], ["eigvecs", "--json"],

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zpencil.linalg import (
     nullspace,
     perron_vector,
     solve,
+    solve_stack,
     spectral_radius,
     submatrix,
 )
@@ -68,6 +70,12 @@ class TestTolerancePolicy:
     def test_rejects_rel_eig_above_rel_sing(self):
         with pytest.raises(ValueError):
             TolerancePolicy(rel_sing=1e-12, rel_eig=1e-9)
+
+    @pytest.mark.parametrize("field", ["rel_sing", "rel_eig", "abs_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TolerancePolicy(**{field: value})
 
 
 class TestSubmatrix:
@@ -192,6 +200,87 @@ class TestSolve:
             bound = DEFAULT_TOL.rel_sing * inf_norm(X) * max(inf_norm(y), 1.0) \
                 + DEFAULT_TOL.abs_floor
             assert inf_norm(X @ y - b) <= bound
+
+
+def _stack(rng, k, s, near_singular=False):
+    """k random matrices of order s; with ``near_singular``, each has its
+    last row replaced by a combination of the others plus a perturbation
+    whose size spans the singularity band of the default policy."""
+    X = rng.normal(size=(k, s, s))
+    if near_singular:
+        for i in range(k):
+            w = rng.normal(size=s - 1)
+            X[i, -1] = w @ X[i, :-1] + 10.0 ** rng.uniform(-15, -5) * rng.normal(size=s)
+    return X
+
+
+class TestSolveStack:
+    def test_values_equal_numpy_solve_bitwise(self):
+        rng = np.random.default_rng(11)
+        for s in range(1, 9):
+            X = _stack(rng, 40, s) + s * np.eye(s)
+            R = rng.normal(size=(40, s, 3))
+            got = solve_stack(X, R)
+            for i in range(40):
+                assert np.array_equal(got[i], np.linalg.solve(X[i], R[i]))
+
+    def test_exactly_singular_slice_raises_with_its_index(self):
+        X = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        X[1, 2] = X[1, 0] + X[1, 1]
+        with pytest.raises(SingularMatrixError, match="stack index 1"):
+            solve_stack(X, np.ones((3, 3, 1)))
+
+    def test_pivot_below_the_band_raises(self):
+        X = np.stack([np.eye(2), np.diag([1.0, 1e-12])])
+        with pytest.raises(SingularMatrixError, match="stack index 1"):
+            solve_stack(X, np.ones((2, 2, 2)))
+        with pytest.raises(SingularMatrixError):
+            solve(X[1], np.ones((2, 2)))
+        loose = TolerancePolicy(rel_sing=1e-13, rel_eig=1e-13, abs_floor=1e-15)
+        assert np.array_equal(solve_stack(X, np.ones((2, 2, 2)), loose)[1],
+                              np.linalg.solve(X[1], np.ones((2, 2))))
+
+    def test_verdict_matches_solve_slice_by_slice(self):
+        rng = np.random.default_rng(12)
+        raised = 0
+        for s in range(1, 9):
+            X = _stack(rng, 60, s, near_singular=s > 1)
+            if s == 1:
+                X *= 10.0 ** rng.uniform(-15, 0, size=(60, 1, 1))
+            R = np.ones((60, s, 1))
+            for i in range(60):
+                try:
+                    solve(X[i], R[i])
+                    want = False
+                except SingularMatrixError:
+                    want = True
+                try:
+                    solve_stack(X[i:i + 1], R[i:i + 1])
+                    got = False
+                except SingularMatrixError:
+                    got = True
+                assert got == want, (s, i)
+                raised += want
+        assert 50 < raised < 400  # both verdicts are well represented
+
+    def test_first_offending_index_is_named(self):
+        X = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(SingularMatrixError, match="stack index 1: pivot 0.000e"):
+            solve_stack(X, np.ones((4, 2, 1)))
+
+    @pytest.mark.parametrize("X, rhs", [
+        (np.eye(2), np.ones(2)),
+        (np.ones((1, 2, 3)), np.ones((1, 2, 1))),
+        (np.ones((1, 0, 0)), np.ones((1, 0, 1))),
+        (np.eye(2)[None], np.ones((1, 3, 1))),
+        (np.eye(2)[None], np.ones((2, 2, 1))),
+        (np.eye(2)[None], np.ones((1, 2))),
+        (np.full((1, 2, 2), np.nan), np.ones((1, 2, 1))),
+        (np.eye(2)[None], np.full((1, 2, 1), np.inf)),
+    ])
+    def test_rejects_bad_shapes_and_non_finite_entries(self, X, rhs):
+        with pytest.raises(ValueError):
+            solve_stack(X, rhs)
 
 
 class TestNullspace:

@@ -1,10 +1,13 @@
+import itertools
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zpencil.cli import parse_pencil
 from zpencil.digraph import classes, digraph_of, union
 from zpencil.linalg import TolerancePolicy
 from zpencil.pencil import (
@@ -18,9 +21,15 @@ from zpencil.pencil import (
     validate,
     zs_bound,
 )
-from zpencil.testkit import GenConfig, gen_pencil, oracle_pencil_eigs
+from zpencil.testkit import (
+    GenConfig,
+    gen_pencil,
+    oracle_pencil_eigs,
+    oracle_thresholds,
+)
 from zpencil.zmatrix import MStatus, classify_direct
 
+DATA_DIR = Path(__file__).parent / "data"
 RHO2 = (4.0 + math.sqrt(6.0)) / 10.0
 
 
@@ -217,6 +226,37 @@ class TestThresholds:
             p = gen_pencil(GenConfig(n=5, seed=seed, density=0.6))
             tbl = thresholds(p)
             assert list(np.argsort(tbl.sigma)) == list(np.argsort(tbl.tau[1:]))
+
+
+def _same_table(got, want):
+    return (got.sigma, got.tau, got.argmax_sets) == (
+        want.sigma, want.tau, want.argmax_sets)
+
+
+class TestThresholdsAgainstThePerSetOracle:
+    """The batched sweep gives every set the value of a solve and an
+    eigenvalue call of its own, so the table equals the per-set oracle
+    exactly: sigma, tau and the lexicographic argmax."""
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.pencil")),
+                             ids=lambda path: path.name)
+    def test_sample_files(self, path):
+        p = parse_pencil(path.read_text(encoding="utf-8"))
+        assert _same_table(thresholds(p), oracle_thresholds(p))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generator_grid(self, n):
+        compared = 0
+        for density, magnitude, slack in itertools.product(
+                (0.05, 0.2, 0.5, 1.0), (1e-6, 1e-3, 1.0, 1e3, 1e6), (1e-5, 0.1)):
+            p = gen_pencil(GenConfig(n=n, seed=100 + n, density=density,
+                                     magnitude=magnitude, dominance_slack=slack))
+            if not validate(p).ok:
+                continue
+            assert _same_table(thresholds(p), oracle_thresholds(p)), (
+                density, magnitude, slack)
+            compared += 1
+        assert compared >= 20
 
 
 class TestClassifyAt:
