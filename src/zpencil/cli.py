@@ -3,7 +3,8 @@
 Input format (UTF-8): a line ``n = <int>``, a line ``A:`` followed by n
 whitespace-separated rows, then ``B:`` and n rows.  ``#`` starts a comment
 and blank lines are ignored.  A JSON twin ``{"n":..,"A":[[..]],"B":[[..]]}``
-is accepted when the payload starts with ``{``.
+is accepted when the payload starts with ``{``.  In either form an entry
+that is not a finite number (``nan``, ``inf``, ``1e400``) is a format error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including an
 order above the enumeration guard), 3 a tolerance breakdown while building
@@ -108,9 +109,16 @@ def parse_pencil(text: str) -> Pencil:
                 lineno,
             )
         try:
-            target.append([float(f) for f in fields])
+            row = [float(f) for f in fields]
         except ValueError as exc:
             raise PencilFormatError(f"bad number in row: {exc}", lineno) from None
+        bad = [f for f, v in zip(fields, row) if not math.isfinite(v)]
+        if bad:
+            raise PencilFormatError(
+                f"row {len(target) + 1} of {section} has non-finite entry {bad[0]!r}",
+                lineno,
+            )
+        target.append(row)
     if n is None:
         raise PencilFormatError("empty input: no 'n = <int>' line")
     if len(rows_a) != n or len(rows_b) != n:
@@ -135,7 +143,10 @@ def _parse_json_pencil(text: str) -> Pencil:
         raise PencilFormatError(
             f"JSON pencil shapes {A.shape} / {B.shape} do not match n = {n}"
         )
-    return Pencil(A=A, B=B)
+    try:
+        return Pencil(A=A, B=B)
+    except ValueError as exc:  # non-finite entries (NaN, Infinity, 1e400)
+        raise PencilFormatError(f"bad JSON pencil: {exc}") from None
 
 
 def format_pencil(p: Pencil, comment: str | None = None) -> str:

@@ -1,22 +1,23 @@
 """Dense real matrix kernel shared by the whole package.
 
 Everything operates on square numpy arrays of float64 (``solve_stack`` on
-a stack of them) and is a pure function; nothing mutates its arguments.  Index sets are 1-based in the
-public API, matching the usual notation for principal submatrices; the
-0-based conversion happens internally.  Rank and singularity decisions
-are governed by a single :class:`TolerancePolicy` threaded through all
-calls, so no operation hardcodes its own threshold.
+a stack of them) and is a pure function; nothing mutates its arguments.
+Index sets are 1-based in the public API, matching the usual notation for
+principal submatrices; the 0-based conversion happens internally.  Rank
+and singularity decisions are governed by a single
+:class:`TolerancePolicy` threaded through all calls, so no operation
+hardcodes its own threshold.  The kernel needs numpy alone: :func:`solve`
+and :func:`solve_stack` share one LU pivot test, then ``np.linalg.solve``,
+so one matrix gets the same verdict and bits from either.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 __all__ = [
     "TolerancePolicy",
@@ -190,10 +191,11 @@ def perron_vector(P, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 
 
 def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``X y = rhs`` (vector or matrix right-hand side) by LU.
+    """Solve ``X y = rhs`` (vector or matrix right-hand side).
 
-    Raises :class:`SingularMatrixError` when a pivot falls to or below
-    ``tol.rel_sing * ||X||_inf`` during the factorization.
+    Raises :class:`SingularMatrixError` when a pivot of LU with partial
+    pivoting falls to or below ``tol.rel_sing * ||X||_inf``.  Test and
+    values are those of :func:`solve_stack` on ``X[None]``, bit for bit.
     """
     m = as_square(X)
     b = np.array(rhs, dtype=float)
@@ -203,15 +205,13 @@ def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         )
     if b.size and not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m, check_finite=False)
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    if smallest_pivot <= tol.rel_sing * inf_norm(m):
+    smallest = float(_smallest_pivots(m[None])[0])
+    limit = tol.rel_sing * inf_norm(m)
+    if smallest <= limit:
         raise SingularMatrixError(
-            f"pivot {smallest_pivot:.3e} at or below singularity threshold"
+            f"pivot {smallest:.3e} at or below singularity threshold {limit:.3e}"
         )
-    return lu_solve((lu, piv), b, check_finite=False)
+    return np.linalg.solve(m, b)
 
 
 def _smallest_pivots(X: np.ndarray) -> np.ndarray:
@@ -220,17 +220,17 @@ def _smallest_pivots(X: np.ndarray) -> np.ndarray:
     a = X.copy()
     k, s, _ = a.shape
     stack = np.arange(k)
-    smallest = np.full(k, np.inf)
-    for j in range(s):
+    pivots = np.empty((k, s))
+    for j in range(s - 1):
         p = j + np.argmax(np.abs(a[:, j:, j]), axis=1)
         row = a[stack, p]  # the pivot rows; row j is not read again
         a[stack, p] = a[:, j]
-        pivot = row[:, j]
-        smallest = np.minimum(smallest, np.abs(pivot))
+        pivot = pivots[:, j] = row[:, j]
         # A zero pivot has a zero column below it: nothing to eliminate.
         factors = a[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
         a[:, j + 1:, j + 1:] -= factors[:, :, None] * row[:, None, j + 1:]
-    return smallest
+    pivots[:, -1] = a[:, -1, -1]
+    return np.abs(pivots).min(axis=1)
 
 
 def solve_stack(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -262,7 +262,7 @@ def solve_stack(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         i = int(bad[0])
         raise SingularMatrixError(
             f"stack index {i}: pivot {smallest[i]:.3e} at or below "
-            "singularity threshold"
+            f"singularity threshold {limit[i]:.3e}"
         )
     return np.linalg.solve(m, b)
 

@@ -123,6 +123,22 @@ class TestCommands:
         bad.write_text("n = 2\nA:\n1 2 3\n")
         assert main(["validate", str(bad)]) == 2
 
+    def test_non_finite_text_entry_exits_2_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pencil"
+        for entry in ("nan", "1e400", "-inf"):
+            bad.write_text(f"n = 2\nA:\n1 2\n1 0\nB:\n2 2\n1 {entry}\n")
+            assert main(["report", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: line 7: row 2 of B has non-finite entry '{entry}'\n"
+
+    def test_non_finite_json_entry_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for entry in ("NaN", "1e400", "-Infinity"):
+            bad.write_text(f'{{"n": 2, "A": [[1, 2], [1, 0]], "B": [[2, 2], [1, {entry}]]}}')
+            assert main(["report", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: bad JSON pencil: B contains non-finite entries\n"
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate", "x"]) == 2
 

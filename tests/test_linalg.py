@@ -201,6 +201,22 @@ class TestSolve:
                 + DEFAULT_TOL.abs_floor
             assert inf_norm(X @ y - b) <= bound
 
+    def test_values_equal_numpy_solve_bitwise(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 9):
+            for _ in range(40):
+                X = rng.normal(size=(n, n)) + n * np.eye(n)
+                for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                    assert np.array_equal(solve(X, b), np.linalg.solve(X, b))
+
+    def test_singular_messages_carry_the_threshold(self):
+        X = np.diag([4.0, 1e-12])
+        want = "pivot 1.000e-12 at or below singularity threshold 4.000e-09"
+        with pytest.raises(SingularMatrixError, match=f"^{want}$"):
+            solve(X, np.ones(2))
+        with pytest.raises(SingularMatrixError, match=f"^stack index 1: {want}$"):
+            solve_stack(np.stack([np.eye(2), X]), np.ones((2, 2, 1)))
+
 
 def _stack(rng, k, s, near_singular=False):
     """k random matrices of order s; with ``near_singular``, each has its

@@ -233,16 +233,25 @@ def _same_table(got, want):
         want.sigma, want.tau, want.argmax_sets)
 
 
+def _same_top(p, tbl):
+    summary = spectral_summary(p)
+    return (summary.mu, summary.rho_ab) == (tbl.sigma[-1], tbl.tau[-1])
+
+
 class TestThresholdsAgainstThePerSetOracle:
     """The batched sweep gives every set the value of a solve and an
     eigenvalue call of its own, so the table equals the per-set oracle
-    exactly: sigma, tau and the lexicographic argmax."""
+    exactly: sigma, tau and the lexicographic argmax.  The whole set is
+    solved by the same arithmetic as the spectral summary, so its row is
+    ``mu`` and ``rho_ab`` exactly."""
 
     @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.pencil")),
                              ids=lambda path: path.name)
     def test_sample_files(self, path):
         p = parse_pencil(path.read_text(encoding="utf-8"))
-        assert _same_table(thresholds(p), oracle_thresholds(p))
+        tbl = thresholds(p)
+        assert _same_table(tbl, oracle_thresholds(p))
+        assert _same_top(p, tbl)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_generator_grid(self, n):
@@ -253,8 +262,9 @@ class TestThresholdsAgainstThePerSetOracle:
                                      magnitude=magnitude, dominance_slack=slack))
             if not validate(p).ok:
                 continue
-            assert _same_table(thresholds(p), oracle_thresholds(p)), (
-                density, magnitude, slack)
+            tbl = thresholds(p)
+            assert _same_table(tbl, oracle_thresholds(p)), (density, magnitude, slack)
+            assert _same_top(p, tbl), (density, magnitude, slack)
             compared += 1
         assert compared >= 20
 

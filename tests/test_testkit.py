@@ -141,14 +141,37 @@ class TestTripleAgreement:
                 assert a == b == c
 
 
-def test_package_import_leaves_testkit_unloaded():
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this checkout's zpencil."""
     src = Path(zpencil.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, zpencil; print('zpencil.testkit' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         check=True,
     )
+
+
+def test_package_import_leaves_testkit_unloaded():
+    done = _fresh_python(
+        "-c", "import sys, zpencil; print('zpencil.testkit' in sys.modules)")
     assert done.stdout.strip() == "False"
     assert not {"rho_s", "gen_pencil", "GenConfig"} & set(zpencil.__all__)
+
+
+SCIPY_PROBE = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import zpencil
+after_import = scipy_modules()
+from zpencil import cli
+status = cli.main(["report", sys.argv[1], "--json"])
+print(after_import, scipy_modules(), status, file=sys.stderr)
+"""
+
+
+def test_runtime_loads_no_scipy():
+    ex2 = Path(__file__).parent / "data" / "ex2.pencil"
+    done = _fresh_python("-c", SCIPY_PROBE, str(ex2))
+    assert done.stderr.strip() == "[] [] 0"
