@@ -38,7 +38,6 @@ from .linalg import (
     TolerancePolicy,
     inf_norm,
     is_singular,
-    nullspace,
     perron_vector,
     solve,
     solve_stack,
@@ -78,7 +77,7 @@ __all__ = [
     # linalg
     "TolerancePolicy", "DEFAULT_TOL", "SingularMatrixError", "submatrix",
     "inf_norm", "spectral_radius", "perron_vector", "solve", "solve_stack",
-    "nullspace", "is_singular",
+    "is_singular",
     # digraph
     "Digraph", "ClassPartition", "ReducedGraph", "digraph_of", "union",
     "classes", "reduced_graph", "access_set", "digraph_to_dot",

@@ -3,12 +3,13 @@
 Input format (UTF-8): a line ``n = <int>``, a line ``A:`` followed by n
 whitespace-separated rows, then ``B:`` and n rows.  ``#`` starts a comment
 and blank lines are ignored.  A JSON twin ``{"n":..,"A":[[..]],"B":[[..]]}``
-is accepted when the payload starts with ``{``.  In either form an entry
-that is not a finite number (``nan``, ``inf``, ``1e400``) is a format error.
+is accepted when the payload starts with ``{``; its ``n`` must be a JSON
+integer of at least 1.  In either form an entry that is not a finite number
+(``nan``, ``inf``, ``1e400``) is a format error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including an
-order above the enumeration guard), 3 a tolerance breakdown while building
-the eigenvectors (:class:`~zpencil.eigenstructure.ConstructionFailedError`).
+order above the enumeration guard), 3 an eigenvector that fails its
+self-check (:class:`~zpencil.eigenstructure.ConstructionFailedError`).
 """
 
 from __future__ import annotations
@@ -133,8 +134,13 @@ def _parse_json_pencil(text: str) -> Pencil:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PencilFormatError(f"bad JSON: {exc.msg}", exc.lineno) from None
+    n = payload.get("n")
+    # bool is an int subclass, so "true" needs its own refusal
+    if type(n) is not int or n < 1:
+        raise PencilFormatError(
+            f"bad JSON pencil: n must be an integer of at least 1, "
+            f"got {json.dumps(n)}")
     try:
-        n = int(payload["n"])
         A = np.array(payload["A"], dtype=float)
         B = np.array(payload["B"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

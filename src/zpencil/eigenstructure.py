@@ -2,11 +2,13 @@
 matrix: singular classes, distinguished classes, and the class-supported
 basis of nonnegative (eigen)vectors.
 
-The construction restricts the matrix to the access closure W of a
-distinguished class, extracts the one-dimensional nonnegative kernel
-direction there, and embeds it into full length with zeros elsewhere.
-The embedding is exact: a row outside W cannot carry an entry in a column
-of W, since such an edge would grant the row access to the class.
+Each vector lives on the access closure W of a distinguished class and is
+zero elsewhere.  The embedding is exact: a row outside W cannot carry an
+entry in a column of W, since such an edge would grant the row access to
+the class.  On W it is one Perron vector (:func:`~zpencil.linalg.perron_vector`)
+of a nonnegative matrix: of ``P_W`` in ``X_W = q*I - P_W`` for an
+M-matrix, and of the transform ``C_W = (B_W - A_W)^{-1} A_W`` for a
+pencil, which is formed by an elimination that only adds terms of one sign.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     as_square,
     inf_norm,
     is_singular,
-    nullspace,
     perron_vector,
     submatrix,
 )
@@ -31,9 +32,6 @@ from .pencil import Pencil, SpectralSummary, ValidationFailedError, validate
 from .zmatrix import MStatus
 
 __all__ = [
-    "POS_TOL",
-    "ZERO_TOL",
-    "RESIDUAL_FACTOR",
     "NotMMatrixError",
     "ConstructionFailedError",
     "ClassLabel",
@@ -46,9 +44,7 @@ __all__ = [
     "rho_ambiguous",
 ]
 
-POS_TOL = 1e-10          # entries on the support must clear this
-ZERO_TOL = 1e-10         # entries off the support must stay below this
-RESIDUAL_FACTOR = 1e-8   # kernel / eigen residual budget, times the norm scale
+_RESIDUAL_BUDGET = 1e-8  # kernel / eigen residual budget, times the norm scale
 
 
 class NotMMatrixError(ValueError):
@@ -56,8 +52,10 @@ class NotMMatrixError(ValueError):
 
 
 class ConstructionFailedError(ArithmeticError):
-    """The restricted kernel was not one-dimensional nonnegative within
-    tolerance; this signals a tolerance breakdown, not bad mathematics."""
+    """A constructed vector failed its self-check: an entry on the support
+    is not positive, or the residual is above its budget.  The message
+    names the origin class and the numbers; this signals a numerical
+    breakdown, not bad mathematics."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,8 @@ class ClassLabel:
 @dataclass(frozen=True, eq=False)
 class EigenBasisVector:
     """Nonnegative vector of infinity norm 1, positive exactly on
-    ``support`` (the access closure of ``origin_class``)."""
+    ``support`` (the access closure of ``origin_class``) and zero
+    elsewhere."""
 
     x: np.ndarray
     origin_class: tuple[int, ...]
@@ -94,9 +93,9 @@ class EigenBasisVector:
         on = np.asarray(self.support, dtype=int) - 1
         mask = np.zeros(len(x), dtype=bool)
         mask[on] = True
-        if x[mask].size and float(x[mask].min()) <= POS_TOL:
+        if not np.all(x[mask] > 0.0):
             raise ValueError("entry on the support is not positive")
-        if x[~mask].size and float(np.max(np.abs(x[~mask]))) > ZERO_TOL:
+        if np.any(x[~mask] != 0.0):
             raise ValueError("entry off the support is not zero")
 
 
@@ -130,57 +129,29 @@ def class_labels(
     return tuple(labels)
 
 
-def _acceptable(XW: np.ndarray, v: np.ndarray) -> bool:
-    scale = max(1.0, inf_norm(XW))
-    return (
-        float(v.min()) > POS_TOL
-        and inf_norm(XW @ v) <= RESIDUAL_FACTOR * scale
-    )
+def _embed(n: int, origin: tuple[int, ...], W: tuple[int, ...],
+           v: np.ndarray) -> EigenBasisVector:
+    """Zero-extend ``v`` from ``W`` to length ``n``, once its entries are
+    checked positive."""
+    bad = np.flatnonzero(~(v > 0.0))  # NaN included
+    if bad.size:
+        i = int(bad[0])
+        raise ConstructionFailedError(
+            f"class {origin}: entry {W[i]} on the support {W} is "
+            f"{v[i]:.3e}, not positive"
+        )
+    x = np.zeros(n)
+    x[np.asarray(W) - 1] = v
+    return EigenBasisVector(x=x, origin_class=origin, support=W)
 
 
-def _kernel_direction(XW: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Nonnegative kernel direction of a singular M-matrix block whose
-    kernel is one-dimensional, infinity norm 1 and strictly positive."""
-    dec = zmatrix.z_decompose(XW, tol)
-    try:
-        v = perron_vector(dec.P, tol)
-    except ArithmeticError:
-        v = None
-    if v is not None and _acceptable(XW, v):
-        return v
-    # Fallback: generic nullspace plus sign normalization.
-    basis = nullspace(XW, tol)
-    if len(basis) == 1:
-        w = basis[0]
-        if w[int(np.argmax(np.abs(w)))] < 0:
-            w = -w
-        if float(w.min()) >= -ZERO_TOL:
-            w = np.maximum(w, 0.0)
-            w = w / float(w.max())
-            if _acceptable(XW, w):
-                return w
-    raise ConstructionFailedError(
-        "restricted kernel is not one-dimensional nonnegative within tolerance"
-    )
-
-
-def _build_basis(
-    X: np.ndarray,
-    gamma: Digraph,
-    labels: tuple[ClassLabel, ...],
-    tol: TolerancePolicy,
-) -> tuple[EigenBasisVector, ...]:
-    n = X.shape[0]
-    out = []
-    for lab in labels:
-        if not lab.is_distinguished:
-            continue
-        W = access_set(gamma, lab.vertices)
-        v = _kernel_direction(submatrix(X, W), tol)
-        x = np.zeros(n)
-        x[np.asarray(W, dtype=int) - 1] = v
-        out.append(EigenBasisVector(x=x, origin_class=lab.vertices, support=W))
-    return tuple(out)
+def _check_residual(vec: EigenBasisVector, residual: np.ndarray,
+                    limit: float) -> None:
+    r = inf_norm(residual)
+    if not r <= limit:
+        raise ConstructionFailedError(
+            f"class {vec.origin_class}: residual {r:.3e} above {limit:.3e}"
+        )
 
 
 def m_nullbasis(X, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[EigenBasisVector, ...]:
@@ -193,13 +164,17 @@ def m_nullbasis(X, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[EigenBasisVector
     """
     m = as_square(X)
     G = digraph_of(m, tol)
-    labels = class_labels(m, G, tol)
-    vectors = _build_basis(m, G, labels, tol)
-    limit = RESIDUAL_FACTOR * max(1.0, inf_norm(m))
-    for vec in vectors:
-        if inf_norm(m @ vec.x) > limit:
-            raise ConstructionFailedError("kernel residual above tolerance")
-    return vectors
+    limit = _RESIDUAL_BUDGET * max(1.0, inf_norm(m))
+    out = []
+    for lab in class_labels(m, G, tol):
+        if not lab.is_distinguished:
+            continue
+        W = access_set(G, lab.vertices)
+        v = perron_vector(zmatrix.z_decompose(submatrix(m, W), tol).P, tol)
+        vec = _embed(m.shape[0], lab.vertices, W, v)
+        _check_residual(vec, m @ vec.x, limit)
+        out.append(vec)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +208,38 @@ def critical_classes(
     return CriticalClasses(rho_ab=rho, name=name, graph=graph, labels=labels)
 
 
+def _transform(G: np.ndarray, A: np.ndarray, u: np.ndarray,
+               W: np.ndarray) -> np.ndarray:
+    """``C_W = (B_W - A_W)^{-1} A_W`` on the 0-based index array ``W``,
+    entrywise nonnegative in floating point.
+
+    ``G`` holds the off-diagonal magnitudes of ``B - A`` (its diagonal is
+    never read), ``A`` is nonnegative and ``u > 0`` is the witness with
+    ``(B - A) u = 1``, so ``(B - A)_W u_W = w_W = 1 + G_{W,W^c} u_{W^c} > 0``.
+    Gaussian elimination then only adds terms of one sign (Alfa, Xue & Ye,
+    Math. Comp. 71, 2002): each pivot is rebuilt from ``w`` and the
+    off-diagonals of its row, so that the row sums hold exactly, rather
+    than updated by subtraction; the off-diagonals, ``w``, the right-hand
+    side ``A_W`` and the back substitution all grow by nonnegative terms.
+    """
+    outside = u.copy()
+    outside[W] = 0.0
+    s = len(W)
+    block = np.ix_(W, W)
+    # One array [G_W | A_W | w_W]: a step updates all three at once.
+    Z = np.concatenate([G[block], A[block], (1.0 + G[W] @ outside)[:, None]],
+                       axis=1)
+    uW = u[W]
+    d = np.empty(s)
+    for k in range(s):
+        d[k] = (Z[k, -1] + Z[k, k + 1:s] @ uW[k + 1:]) / uW[k]
+        Z[k + 1:, k + 1:] += (Z[k + 1:, k] / d[k])[:, None] * Z[k, k + 1:]
+    C = Z[:, s:2 * s]
+    for k in range(s - 1, -1, -1):
+        C[k] = (C[k] + Z[k, k + 1:s] @ C[k + 1:]) / d[k]
+    return C
+
+
 def pencil_eigenbasis(
     p: Pencil,
     crit: CriticalClasses,
@@ -241,20 +248,36 @@ def pencil_eigenbasis(
     """Nonnegative eigenvectors of the pencil at the critical value, one
     per distinguished class of ``crit`` (from :func:`critical_classes`).
 
-    Each vector satisfies ``A x = rho_ab * B x`` within
-    ``RESIDUAL_FACTOR * max(||A||, ||B||)`` and is positive exactly on the
-    access closure of its class.
+    On the access closure W of its class each vector is the Perron vector
+    of the nonnegative ``C_W = (B_W - A_W)^{-1} A_W``: on W,
+    ``A x = rho_ab * B x`` reads ``C_W x = mu x`` with
+    ``mu = rho_ab / (1 - rho_ab)``, and ``mu`` is a simple Perron root
+    there because every other class in W is nonsingular.  ``C_W`` comes
+    from an elimination without cancellation, built on the witness ``u``
+    of :func:`~zpencil.pencil.validate`.
+
+    Each vector is checked: positive on W, and ``A x = rho_ab * B x``
+    within ``1e-8 * max(||A||, ||B||)``; else
+    :class:`ConstructionFailedError` names the class and the numbers.
     """
     report = validate(p, tol)
     if not report.ok:
         raise ValidationFailedError(report)
+    A = np.maximum(p.A, 0.0)
+    G = np.maximum(p.A - p.B, 0.0)  # Z-matrix noise within the floor clipped
+    u = report.witness_u
     rho = crit.rho_ab
-    vectors = _build_basis(rho * p.B - p.A, crit.graph, crit.labels, tol)
-    limit = RESIDUAL_FACTOR * max(inf_norm(p.A), inf_norm(p.B))
-    for vec in vectors:
-        if inf_norm(p.A @ vec.x - rho * (p.B @ vec.x)) > limit:
-            raise ConstructionFailedError("eigen residual above tolerance")
-    return vectors
+    limit = _RESIDUAL_BUDGET * max(inf_norm(p.A), inf_norm(p.B))
+    out = []
+    for lab in crit.labels:
+        if not lab.is_distinguished:
+            continue
+        W = access_set(crit.graph, lab.vertices)
+        C = _transform(G, A, u, np.asarray(W) - 1)
+        vec = _embed(p.n, lab.vertices, W, perron_vector(C, tol))
+        _check_residual(vec, p.A @ vec.x - rho * (p.B @ vec.x), limit)
+        out.append(vec)
+    return tuple(out)
 
 
 def rho_ambiguous(rho_ab: float, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -32,7 +32,6 @@ __all__ = [
     "perron_vector",
     "solve",
     "solve_stack",
-    "nullspace",
     "is_singular",
 ]
 
@@ -145,49 +144,21 @@ def spectral_radius(P, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 def perron_vector(P, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Nonnegative eigenvector at the Perron root, infinity norm 1.
 
-    Inverse iteration on a slightly shifted matrix: the shifted inverse is
-    entrywise nonnegative, so iterates started from the all-ones vector
-    stay in the nonnegative orthant, and the shift amplifies the true
-    eigendirection even when the Perron root is defective.  Iterates until
-    ``||P x - rho x||_inf <= tol.rel_sing * ||P||_inf`` (plus the absolute
-    floor) or raises ``ArithmeticError``.
+    One ``np.linalg.eig``: the eigenvector of the eigenvalue with the
+    largest real part (the Perron root of a nonnegative matrix), signed so
+    that its largest-magnitude entry is positive, clipped at zero against
+    rounding noise and scaled to infinity norm 1.  When the Perron root is
+    simple its eigenvector is nonnegative, so nothing but noise is
+    clipped; callers that need a positive support check it themselves.
+    Entries of ``P`` below ``-tol.abs_floor`` are rejected.
     """
     m = _as_nonnegative(P, tol, "perron_vector input")
-    n = m.shape[0]
-    scale = inf_norm(m)
-    if scale == 0.0:
-        return np.ones(n)
-    work = m / scale  # eigenvectors are invariant under scaling
-    rho = spectral_radius(work, tol)
-    target = tol.rel_sing + tol.abs_floor
-    eye = np.eye(n)
-    best = np.ones(n)
-    best_res = inf_norm(work @ best - rho * best)
-    x = best
-    for eps in (1e-8, 1e-10, 1e-12):
-        if best_res <= target:
-            break
-        shifted = (rho + eps) * eye - work
-        for _ in range(3):
-            try:
-                y = np.linalg.solve(shifted, x)
-            except np.linalg.LinAlgError:
-                break
-            y = np.maximum(y, 0.0)
-            top = float(y.max()) if y.size else 0.0
-            if top <= 0.0 or not np.isfinite(top):
-                break
-            x = y / top
-            res = inf_norm(work @ x - rho * x)
-            if res < best_res:
-                best, best_res = x, res
-            if best_res <= target:
-                break
-    if best_res <= target:
-        return best
-    raise ArithmeticError(
-        f"perron_vector residual {best_res:.3e} above target {target:.3e}"
-    )
+    values, vectors = np.linalg.eig(m)
+    v = vectors[:, int(np.argmax(values.real))].real
+    if v[int(np.argmax(np.abs(v)))] < 0.0:
+        v = -v
+    v = np.maximum(v, 0.0)
+    return v / float(v.max())
 
 
 def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -265,19 +236,6 @@ def solve_stack(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
             f"singularity threshold {limit[i]:.3e}"
         )
     return np.linalg.solve(m, b)
-
-
-def nullspace(X, tol: TolerancePolicy = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel of a square ``X``.
-
-    Singular values at or below ``max(tol.rel_sing * sigma_max,
-    tol.abs_floor)`` count as zero; the empty list means ``X`` is
-    numerically nonsingular.
-    """
-    m = as_square(X)
-    _, sv, vh = np.linalg.svd(m)
-    cutoff = max(tol.rel_sing * float(sv[0]), tol.abs_floor)
-    return [vh[i].copy() for i in range(len(sv)) if sv[i] <= cutoff]
 
 
 def is_singular(X, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -139,6 +139,20 @@ class TestCommands:
             err = capsys.readouterr().err
             assert err == "error: bad JSON pencil: B contains non-finite entries\n"
 
+    @pytest.mark.parametrize("n, order", [
+        ("2.9", 2), ("true", 1), ('"1"', 1), ("2.0", 2), ("0", 1), ("null", 1),
+    ])
+    def test_json_order_must_be_an_integer_of_at_least_1(
+            self, tmp_path, capsys, n, order):
+        # the matrices have the order int() would read, so only n is at fault
+        bad = tmp_path / "bad.json"
+        A = [[0.0] * order for _ in range(order)]
+        B = [[float(i == j) for j in range(order)] for i in range(order)]
+        bad.write_text(f'{{"n": {n}, "A": {json.dumps(A)}, "B": {json.dumps(B)}}}')
+        assert main(["report", str(bad), "--json"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad JSON pencil: n must be an integer of at least 1, got {n}\n")
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate", "x"]) == 2
 

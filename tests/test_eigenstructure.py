@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+import zpencil.eigenstructure
+from zpencil.cli import main
 from zpencil.digraph import classes, digraph_of, union
 from zpencil.eigenstructure import (
+    ConstructionFailedError,
+    EigenBasisVector,
     NotMMatrixError,
     class_labels,
     critical_classes,
@@ -123,6 +127,53 @@ class TestPencilEigenbasis:
     def test_rho_ambiguity_flag(self, ex3):
         summary = spectral_summary(ex3)
         assert not rho_ambiguous(summary.rho_ab)
+
+
+class TestEigenBasisVector:
+    def test_positive_exactly_on_the_support_and_zero_elsewhere(self):
+        EigenBasisVector(x=[1.0, 1e-300, 0.0], origin_class=(1,), support=(1, 2))
+        with pytest.raises(ValueError, match="on the support"):
+            EigenBasisVector(x=[1.0, 0.0, 0.0], origin_class=(1,), support=(1, 2))
+        with pytest.raises(ValueError, match="off the support"):
+            EigenBasisVector(x=[1.0, 1.0, 1e-300], origin_class=(1,), support=(1, 2))
+
+
+class TestConstructionFailures:
+    """A vector that fails its self-check raises ConstructionFailedError
+    naming the class and the numbers, never a bare ValueError."""
+
+    @pytest.fixture
+    def patched(self, monkeypatch):
+        def use(v):
+            monkeypatch.setattr(zpencil.eigenstructure, "perron_vector",
+                                lambda P, tol=None: np.array(v, dtype=float))
+        return use
+
+    def test_nonpositive_support_entry(self, ex2, patched, data_dir, capsys):
+        patched([1.0, 0.0])  # on W = (2, 4)
+        crit = critical_classes(ex2, spectral_summary(ex2))
+        with pytest.raises(ConstructionFailedError) as info:
+            pencil_eigenbasis(ex2, crit)
+        assert str(info.value) == (
+            "class (2, 4): entry 4 on the support (2, 4) is 0.000e+00, not positive")
+        assert main(["report", str(data_dir / "ex2.pencil"), "--json"]) == 3
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+    def test_residual_above_budget(self, ex2, patched):
+        patched([1.0, 0.5])
+        crit = critical_classes(ex2, spectral_summary(ex2))
+        with pytest.raises(ConstructionFailedError) as info:
+            pencil_eigenbasis(ex2, crit)
+        # budget 1e-8 * max(||A||, ||B||) = 1e-8 * 6
+        assert str(info.value) == "class (2, 4): residual 1.500e+00 above 6.000e-08"
+
+    def test_m_nullbasis_names_the_class_too(self, patched):
+        patched([1.0, 0.5])
+        with pytest.raises(ConstructionFailedError, match=r"^class \(1, 2\): residual"):
+            m_nullbasis(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        patched([1.0, -0.0])
+        with pytest.raises(ConstructionFailedError, match="entry 2 on the support"):
+            m_nullbasis(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 class TestRandomPencilProperties:

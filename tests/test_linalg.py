@@ -12,7 +12,6 @@ from zpencil.linalg import (
     TolerancePolicy,
     inf_norm,
     is_singular,
-    nullspace,
     perron_vector,
     solve,
     solve_stack,
@@ -297,38 +296,6 @@ class TestSolveStack:
     def test_rejects_bad_shapes_and_non_finite_entries(self, X, rhs):
         with pytest.raises(ValueError):
             solve_stack(X, rhs)
-
-
-class TestNullspace:
-    def test_identity_empty(self):
-        assert nullspace(np.eye(3)) == []
-
-    def test_rank_one_kernel(self):
-        basis = nullspace([[0.0, -1.0], [0.0, 0.0]])
-        assert len(basis) == 1
-        assert abs(abs(basis[0][0]) - 1.0) < 1e-12 and abs(basis[0][1]) < 1e-12
-
-    def test_example2_critical_kernel(self, ex2):
-        rho = (4.0 + np.sqrt(6.0)) / 10.0
-        basis = nullspace(rho * ex2.B - ex2.A)
-        assert len(basis) == 1
-        v = basis[0]
-        assert abs(v[0]) < 1e-8 and abs(v[2]) < 1e-8
-        assert abs(v[1]) > 1e-3 and abs(v[3]) > 1e-3
-
-    def test_planted_nullity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(1, n + 1))  # planted rank
-            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            sv = np.concatenate([rng.uniform(0.5, 2.0, k), np.zeros(n - k)])
-            X = U @ np.diag(sv) @ V.T
-            basis = nullspace(X)
-            assert len(basis) == n - k
-            for v in basis:
-                assert inf_norm(X @ v) <= 1e-9 * max(1.0, inf_norm(X))
 
 
 class TestIsSingular:
