@@ -192,6 +192,94 @@ def _perron_of_transform(C) -> np.ndarray:
     return np.where(top > 0.0, top, 0.0)
 
 
+def _band_floor(value, tol: TolerancePolicy):
+    # The lower edge of the coincidence band of partition() around value.
+    return value - (tol.rel_sing * abs(value) + tol.abs_floor)
+
+
+# A size is screened only when it has at least this many index sets.  At one
+# BLAS thread the screen costs 0.13-0.9 ms a size.  On the 91 sets of sizes 2
+# and 12 at order 14, eigvals on every set costs 0.07-0.09 ms and 1.7-3.5 ms;
+# at orders 9-10 the screen wins on 36-45 sets at s >= 7 and loses on 126
+# sparse sets at s = 4.  90 screens no size of order <= 8 (at most 70 sets).
+_SCREEN_MIN_SETS = 90
+# The constant c of the screen's margin delta; see _perron_bounds.
+_SCREEN_C = 32.0
+
+
+def _perron_bounds(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collatz–Wielandt bounds for a (k, s, s) stack ``P = |C|``.
+
+    Per matrix, two power steps give the positive vector
+    ``x = (I + P/a + P^2/a^2) 1``, where ``a`` is a quarter of the mean row
+    sum of P (1 when P = 0); taking the steps at P's own scale keeps the
+    identity term a mere floor and makes the bounds scale with C.  Then
+    ``lower = min_i (Px)_i / x_i`` and ``upper = max_i (Px)_i / x_i +
+    delta``, with ``delta = c * s * eps * ||C||_F * max(x) / min(x)`` and
+    ``c = 32``.
+
+    ``upper`` bounds every eigenvalue that ``np.linalg.eigvals`` returns for
+    the computed C, defective or tied ones included.  With ``D = diag(x)``
+    and ``kappa = max(x) / min(x)``, every eigenvalue of ``C + E`` has
+    modulus at most ``||D^-1 (C + E) D||_inf <= max_i (Px)_i / x_i +
+    kappa ||E||_inf``, whatever its Jordan structure.  ``geev`` is backward
+    stable: its eigenvalues are exact for ``C + E`` with
+    ``||E||_2 <= p(s) eps ||C||_F``, so ``||E||_inf <= sqrt(s) p(s) eps
+    ||C||_F``.  Rounding the ratio costs at most a relative ``(s + 2) eps``
+    of ``max_i (Px)_i / x_i <= kappa sqrt(s) ||C||_F``.  So ``delta``
+    covers both when ``p(s) + s + 2 <= c sqrt(s)``: a backward-error
+    factor ``p(s)`` of 29 at s = 1 and over 100 at s = 16, where the usual
+    bound is a small multiple of one.  The exact power-of-2 balancing in
+    ``geev`` is assumed not to raise ``kappa ||C||_F``; the tests check the
+    bound on every set of their grids, and :func:`thresholds` re-checks it
+    on each value it confirms.  Overflow gives NaN bounds, which confirm.
+    """
+    s = P.shape[1]
+    y = P.sum(axis=2)
+    a = y.mean(axis=1, keepdims=True) / 4.0
+    a[a == 0.0] = 1.0
+    y /= a
+    x = 1.0 + y + np.einsum("kij,kj->ki", P, y) / a
+    ratio = np.einsum("kij,kj->ki", P, x) / x
+    norm = np.sqrt(np.einsum("kij,kij->k", P, P))
+    delta = _SCREEN_C * s * np.finfo(float).eps * norm * x.max(axis=1) / x.min(axis=1)
+    return ratio.min(axis=1), ratio.max(axis=1) + delta
+
+
+def _screened_perron(C: np.ndarray, P: np.ndarray, tol: TolerancePolicy):
+    """Perron values of the stack C on the sets that can reach the top of
+    the size's band, -inf on the others, and how many sets got a value.
+
+    The set with the best lower bound gives the incumbent; every set whose
+    upper bound reaches ``_band_floor(incumbent)`` gets its own eigvals.
+    Since ``v - band(v)`` grows with v, each set within the band of
+    ``sigma_s >= incumbent`` is among them.  Should a confirmed value
+    exceed its upper bound, the whole stack is evaluated.
+    """
+    lower, upper = _perron_bounds(P)
+    best = int(np.argmax(lower))
+    incumbent = _perron_of_transform(C[best])
+    confirm = ~(upper < _band_floor(incumbent, tol))  # NaN bounds confirm
+    confirm[best] = True
+    values = np.full(len(C), -np.inf)
+    values[confirm] = _perron_of_transform(C[confirm])
+    if np.any(values[confirm] > upper[confirm]):
+        return _perron_of_transform(C), len(C)
+    return values, int(np.count_nonzero(confirm))
+
+
+def _size_values(M: np.ndarray, A: np.ndarray, sets: np.ndarray, tol: TolerancePolicy):
+    # The values of one size of the sweep and how many sets got eigvals.
+    # Its stacks are freed on return, before the next size allocates.
+    rows, cols = sets[:, :, None], sets[:, None, :]
+    stack = M[rows, cols]
+    C = linalg.solve_stack(stack, A[rows, cols], tol)
+    if len(sets) < _SCREEN_MIN_SETS:
+        return _perron_of_transform(C), len(sets)
+    # |C| goes into the gathered stack, which the solve is done with.
+    return _screened_perron(C, np.abs(C, out=stack), tol)
+
+
 def _subpencil_perron(p: Pencil, J, tol: TolerancePolicy) -> float:
     AJ = submatrix(p.A, J)
     BJ = submatrix(p.B, J)
@@ -239,16 +327,21 @@ class ThresholdTable:
     ``sigma_s`` within ``tol.rel_sing * |sigma_s| + tol.abs_floor`` (the
     coincidence band of :func:`partition`).  ``tau[n]`` equals ``rho_ab``.
 
-    Every set's value is the one a per-set ``np.linalg.solve`` and
-    ``np.linalg.eigvals`` give, bit for bit (:func:`thresholds` evaluates
-    them a size at a time in stacked calls), so ``sigma`` and the argmax
-    depend on the set alone, not on how the sweep is batched.
+    Every value the table rests on is the one a per-set ``np.linalg.solve``
+    and ``np.linalg.eigvals`` give, bit for bit (:func:`thresholds`
+    evaluates them a size at a time in stacked calls), so ``sigma`` and the
+    argmax depend on the set alone, not on how the sweep is batched.
+    ``confirmed[s-1]`` counts the sets of size s that got an eigvals
+    value: all of them on a small size, and on a screened one only those
+    whose Collatz–Wielandt bound reaches the band (see :func:`thresholds`).
+    It is a diagnostic and not part of the JSON report.
     """
 
     n: int
     sigma: tuple[float, ...]
     tau: tuple[float, ...]
     argmax_sets: tuple[tuple[int, ...], ...]
+    confirmed: tuple[int, ...]
 
     @property
     def rho_ab(self) -> float:
@@ -266,10 +359,31 @@ def thresholds(
     nonsingular M-matrix ``B - A`` are themselves nonsingular M-matrices.
     The sweep visits all 2^n - 1 nonempty index sets, one size at a time:
     the k sets of size s, in lexicographic order, go through one
-    :func:`~zpencil.linalg.solve_stack` for ``(B_J - A_J)^{-1} A_J`` and
-    one stacked ``np.linalg.eigvals``, which give each set the same value
-    as a solve and an eigenvalue call of its own.  Memory holds one size
-    at a time.
+    :func:`~zpencil.linalg.solve_stack` for ``C_J = (B_J - A_J)^{-1} A_J``
+    (with its pivot test on every set) and stacked ``np.linalg.eigvals``,
+    which give each set the same value as a solve and an eigenvalue call
+    of its own.  Memory holds one size at a time.
+
+    A size with at least 90 sets is screened, then confirmed.  Two
+    batched power steps on ``P = |C_J|`` give a positive x and the
+    Collatz–Wielandt bounds ``min_i (Px)_i/x_i <= rho(P)`` and
+    ``upper = max_i (Px)_i/x_i + delta`` for every set, where the margin
+    ``delta = 32 s eps ||C_J||_F max(x) / min(x)`` covers the backward
+    error of ``geev`` in the ``diag(x)``-weighted infinity norm, so
+    ``upper`` bounds what eigvals returns even for a defective or tied top
+    eigenvalue (the argument is in ``_perron_bounds``).  The set with the
+    best lower bound gets eigvals first; its value is the incumbent.  Then
+    eigvals runs only on the sets whose upper bound reaches the incumbent's
+    band floor ``incumbent - (tol.rel_sing*|incumbent| + tol.abs_floor)``.
+    That floor grows with the value, so every set within the band of
+    ``sigma_s`` is confirmed, and ``sigma``, ``tau`` and ``argmax_sets``
+    are exactly those of the full sweep.  If a confirmed value exceeds its
+    upper bound, the whole size is evaluated.  Below 90 sets (so at every
+    size of order <= 8) the bounds save too little, if anything, and
+    eigvals runs on every set.  At order 14, density 0.5, 41-48 of the
+    16,383 sets get eigvals on the benchmark's pencils
+    (``ThresholdTable.confirmed``), and the sweep takes about a third of
+    the time of the full one.
 
     Raises :class:`~zpencil.zmatrix.EnumerationLimitError` when
     ``n > max_order``; library callers lift the guard by passing a larger
@@ -281,19 +395,19 @@ def thresholds(
     A, M = p.A, p.B - p.A
     sigma: list[float] = []
     argmax: list[tuple[int, ...]] = []
+    confirmed: list[int] = []
     for s in range(1, n + 1):
         sets = np.array(list(itertools.combinations(range(n), s)))
-        rows, cols = sets[:, :, None], sets[:, None, :]
-        values = _perron_of_transform(
-            linalg.solve_stack(M[rows, cols], A[rows, cols], tol))
+        values, count = _size_values(M, A, sets, tol)
         best = float(values.max())
-        floor = best - (tol.rel_sing * abs(best) + tol.abs_floor)
         sigma.append(best)
-        first = int(np.argmax(values >= floor))
+        first = int(np.argmax(values >= _band_floor(best, tol)))
         argmax.append(tuple(int(v) + 1 for v in sets[first]))
+        confirmed.append(count)
     tau = [0.0] + [v / (1.0 + v) for v in sigma]
     return ThresholdTable(
-        n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax)
+        n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax),
+        confirmed=tuple(confirmed),
     )
 
 

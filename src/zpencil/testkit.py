@@ -204,6 +204,7 @@ def oracle_thresholds(
     for ``(B_J - A_J)^{-1} A_J`` and a ``np.linalg.eigvals`` per set, with
     the band rule of :class:`~zpencil.pencil.ThresholdTable` for the
     argmax.  Has no singularity test; ``p`` must be admitted under ``tol``.
+    Every set gets a value, so ``confirmed`` counts them all.
     """
     if not validate(p, tol).ok:
         raise ValueError("oracle_thresholds needs an admitted pencil")
@@ -211,12 +212,15 @@ def oracle_thresholds(
     _check_order_guard(n, max_order)
     sigma: list[float] = []
     argmax: list[tuple[int, ...]] = []
+    confirmed: list[int] = []
     for s in range(1, n + 1):
         sets = list(itertools.combinations(range(1, n + 1), s))
+        confirmed.append(len(sets))
         values = []
         for J in sets:
-            AJ = submatrix(p.A, J)
-            C = np.linalg.solve(submatrix(p.B, J) - AJ, AJ)
+            rows = np.array(J)[:, None] - 1
+            AJ = p.A[rows, rows.T]
+            C = np.linalg.solve(p.B[rows, rows.T] - AJ, AJ)
             values.append(max(0.0, float(np.max(np.linalg.eigvals(C).real))))
         best = max(values)
         floor = best - (tol.rel_sing * abs(best) + tol.abs_floor)
@@ -224,5 +228,6 @@ def oracle_thresholds(
         argmax.append(next(J for J, v in zip(sets, values) if v >= floor))
     tau = [0.0] + [v / (1.0 + v) for v in sigma]
     return ThresholdTable(
-        n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax)
+        n=n, sigma=tuple(sigma), tau=tuple(tau), argmax_sets=tuple(argmax),
+        confirmed=tuple(confirmed),
     )

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zpencil.pencil as pencil_module
 from zpencil.cli import parse_pencil
 from zpencil.digraph import classes, digraph_of, union
-from zpencil.linalg import TolerancePolicy
+from zpencil.linalg import TolerancePolicy, solve_stack
 from zpencil.pencil import (
     Pencil,
     ValidationFailedError,
@@ -238,6 +239,99 @@ def _same_top(p, tbl):
     return (summary.mu, summary.rho_ab) == (tbl.sigma[-1], tbl.tau[-1])
 
 
+def _all_sets(n):
+    return tuple(math.comb(n, s) for s in range(1, n + 1))
+
+
+def _values_and_bounds(p):
+    """Per size: the sets, each set's value by the sweep's arithmetic and
+    the screen's upper bound, all sets evaluated."""
+    M = p.B - p.A
+    for s in range(1, p.n + 1):
+        sets = np.array(list(itertools.combinations(range(p.n), s)))
+        rows, cols = sets[:, :, None], sets[:, None, :]
+        C = solve_stack(M[rows, cols], p.A[rows, cols])
+        _, upper = pencil_module._perron_bounds(np.abs(C))
+        yield sets + 1, pencil_module._perron_of_transform(C), upper
+
+
+def _every_value_under_its_bound(p):
+    return all(np.all(values <= upper) for _, values, upper in _values_and_bounds(p))
+
+
+def _block_diagonal(top, bottom, coupling=None):
+    zero = np.zeros((top.shape[0], bottom.shape[1]))
+    upper_right = zero if coupling is None else coupling
+    return np.block([[top, upper_right], [zero.T, bottom]])
+
+
+class TestScreen:
+    """Sizes with many sets run eigvals only where a Collatz-Wielandt bound
+    reaches the band; the table stays that of the full sweep."""
+
+    def test_order_14_confirms_under_one_percent(self, monkeypatch):
+        p = gen_pencil(GenConfig(n=14, seed=1, density=0.5))
+        tbl = thresholds(p)
+        monkeypatch.setattr(pencil_module, "_SCREEN_MIN_SETS", math.inf)
+        full = thresholds(p)
+        assert _same_table(tbl, full)
+        assert full.confirmed == _all_sets(14)
+        assert sum(tbl.confirmed) < 0.01 * (2**14 - 1)
+
+    @pytest.mark.parametrize("scale", (1e-6, 1.0, 1e6))
+    def test_tied_copies(self, scale):
+        # diag(P, P): each set of one copy ties with its image in the other,
+        # so the argmax is the lexicographically first set in the band.
+        q = gen_pencil(GenConfig(n=5, seed=7, density=0.6))
+        p = Pencil(A=scale * _block_diagonal(q.A, q.A),
+                   B=scale * _block_diagonal(q.B, q.B))
+        tbl = thresholds(p)
+        assert sum(tbl.confirmed) < 2**10 - 1
+        assert _same_table(tbl, oracle_thresholds(p))
+        assert _every_value_under_its_bound(p)
+        ties = 0
+        for (sets, values, _), best, first in zip(
+                _values_and_bounds(p), tbl.sigma, tbl.argmax_sets):
+            in_band = values >= best - (1e-9 * best + 1e-13)
+            ties += int(np.count_nonzero(in_band)) - 1
+            assert tuple(sets[np.argmax(in_band)]) == first
+        assert ties > 0
+
+    @pytest.mark.parametrize("scale", (1e-6, 1.0, 1e6))
+    def test_defective_top_eigenvalue(self, scale):
+        # Two copies of one class, the first reaching the second: C_J has a
+        # Jordan block at its Perron root whenever J takes the same vertices
+        # from both copies.  With the copies interleaved, eigvals splits it
+        # by up to 3.5e-8 relative, 35 times the band.
+        q = gen_pencil(GenConfig(n=5, seed=11, density=1.0))
+        M = q.B - q.A
+        A = _block_diagonal(q.A, q.A, coupling=np.full((5, 5), 0.5))
+        B = A + _block_diagonal(M, M)
+        order = np.array([0, 5, 1, 6, 2, 7, 3, 8, 4, 9])[:, None]
+        p = Pencil(A=scale * A[order, order.T], B=scale * B[order, order.T])
+        assert validate(p).ok
+        tbl = thresholds(p)
+        assert sum(tbl.confirmed) < 2**10 - 1
+        assert _same_table(tbl, oracle_thresholds(p))
+        assert _every_value_under_its_bound(p)
+
+    @pytest.mark.parametrize("fake", ("far below", "just below"))
+    def test_bound_below_a_confirmed_value_evaluates_the_size(self, fake, monkeypatch):
+        real = pencil_module._perron_bounds
+
+        def bounds(P):
+            lower, _ = real(P)
+            if fake == "far below":
+                return lower, np.full(len(P), -1.0)
+            return lower, 0.999 * pencil_module._perron_of_transform(P)
+
+        monkeypatch.setattr(pencil_module, "_perron_bounds", bounds)
+        p = gen_pencil(GenConfig(n=10, seed=3))
+        tbl, want = thresholds(p), oracle_thresholds(p)
+        assert _same_table(tbl, want)
+        assert tbl.confirmed == want.confirmed
+
+
 class TestThresholdsAgainstThePerSetOracle:
     """The batched sweep gives every set the value of a solve and an
     eigenvalue call of its own, so the table equals the per-set oracle
@@ -254,7 +348,9 @@ class TestThresholdsAgainstThePerSetOracle:
         assert _same_top(p, tbl)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_generator_grid(self, n):
+    def test_generator_grid(self, n, monkeypatch):
+        # No size at order <= 8 reaches the screen's gate; the same grid is
+        # also swept with every size screened.
         compared = 0
         for density, magnitude, slack in itertools.product(
                 (0.05, 0.2, 0.5, 1.0), (1e-6, 1e-3, 1.0, 1e3, 1e6), (1e-5, 0.1)):
@@ -262,11 +358,33 @@ class TestThresholdsAgainstThePerSetOracle:
                                      magnitude=magnitude, dominance_slack=slack))
             if not validate(p).ok:
                 continue
+            tbl, want = thresholds(p), oracle_thresholds(p)
+            assert _same_table(tbl, want), (density, magnitude, slack)
+            assert _same_top(p, tbl), (density, magnitude, slack)
+            assert tbl.confirmed == want.confirmed == _all_sets(n)
+            with monkeypatch.context() as m:
+                m.setattr(pencil_module, "_SCREEN_MIN_SETS", 1)
+                assert _same_table(thresholds(p), want), (density, magnitude, slack)
+            assert _every_value_under_its_bound(p), (density, magnitude, slack)
+            compared += 1
+        assert compared >= 20
+
+    @pytest.mark.parametrize("n", (9, 10, 11))
+    def test_screened_grid(self, n):
+        compared = 0
+        for density, magnitude, slack in itertools.product(
+                (0.15, 0.5, 1.0), (1e-6, 1.0, 1e6), (1e-5, 0.1)):
+            p = gen_pencil(GenConfig(n=n, seed=100 + n, density=density,
+                                     magnitude=magnitude, dominance_slack=slack))
+            if not validate(p).ok:
+                continue
             tbl = thresholds(p)
             assert _same_table(tbl, oracle_thresholds(p)), (density, magnitude, slack)
             assert _same_top(p, tbl), (density, magnitude, slack)
+            assert _every_value_under_its_bound(p), (density, magnitude, slack)
+            assert sum(tbl.confirmed) < 2**n - 1, (density, magnitude, slack)
             compared += 1
-        assert compared >= 20
+        assert compared >= 12
 
 
 class TestClassifyAt:
