@@ -40,7 +40,6 @@ from .linalg import (
     is_singular,
     perron_vector,
     solve,
-    solve_stack,
     spectral_radius,
     submatrix,
 )
@@ -76,8 +75,7 @@ __all__ = [
     "__version__",
     # linalg
     "TolerancePolicy", "DEFAULT_TOL", "SingularMatrixError", "submatrix",
-    "inf_norm", "spectral_radius", "perron_vector", "solve", "solve_stack",
-    "is_singular",
+    "inf_norm", "spectral_radius", "perron_vector", "solve", "is_singular",
     # digraph
     "Digraph", "ClassPartition", "ReducedGraph", "digraph_of", "union",
     "classes", "reduced_graph", "access_set", "digraph_to_dot",

@@ -1,14 +1,14 @@
 """Dense real matrix kernel shared by the whole package.
 
-Everything operates on square numpy arrays of float64 (``solve_stack`` on
-a stack of them) and is a pure function; nothing mutates its arguments.
+Everything operates on square numpy arrays of float64 and is a pure
+function; nothing mutates its arguments.
 Index sets are 1-based in the public API, matching the usual notation for
 principal submatrices; the 0-based conversion happens internally.  Rank
 and singularity decisions are governed by a single
 :class:`TolerancePolicy` threaded through all calls, so no operation
 hardcodes its own threshold.  The kernel needs numpy alone: :func:`solve`
-and :func:`solve_stack` share one LU pivot test, then ``np.linalg.solve``,
-so one matrix gets the same verdict and bits from either.
+runs an LU pivot test, then ``np.linalg.solve``, so its values are numpy's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "spectral_radius",
     "perron_vector",
     "solve",
-    "solve_stack",
     "is_singular",
 ]
 
@@ -165,8 +164,8 @@ def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Solve ``X y = rhs`` (vector or matrix right-hand side).
 
     Raises :class:`SingularMatrixError` when a pivot of LU with partial
-    pivoting falls to or below ``tol.rel_sing * ||X||_inf``.  Test and
-    values are those of :func:`solve_stack` on ``X[None]``, bit for bit.
+    pivoting falls to or below ``tol.rel_sing * ||X||_inf``; otherwise
+    returns ``np.linalg.solve(X, rhs)``, bit for bit.
     """
     m = as_square(X)
     b = np.array(rhs, dtype=float)
@@ -176,7 +175,7 @@ def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
         )
     if b.size and not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
-    smallest = float(_smallest_pivots(m[None])[0])
+    smallest = _smallest_pivot(m)
     limit = tol.rel_sing * inf_norm(m)
     if smallest <= limit:
         raise SingularMatrixError(
@@ -185,57 +184,20 @@ def solve(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.solve(m, b)
 
 
-def _smallest_pivots(X: np.ndarray) -> np.ndarray:
-    """Smallest |pivot| of each matrix of a (k, s, s) stack under LU with
-    partial pivoting, all k eliminated together."""
+def _smallest_pivot(X: np.ndarray) -> float:
+    """Smallest |pivot| of X under LU with partial pivoting."""
     a = X.copy()
-    k, s, _ = a.shape
-    stack = np.arange(k)
-    pivots = np.empty((k, s))
-    for j in range(s - 1):
-        p = j + np.argmax(np.abs(a[:, j:, j]), axis=1)
-        row = a[stack, p]  # the pivot rows; row j is not read again
-        a[stack, p] = a[:, j]
-        pivot = pivots[:, j] = row[:, j]
+    for j in range(len(a) - 1):
+        p = j + np.abs(a[j:, j]).argmax()
+        if p != j:
+            row = a[p, j:].copy()
+            a[p, j:] = a[j, j:]
+            a[j, j:] = row
+        pivot = a[j, j]
         # A zero pivot has a zero column below it: nothing to eliminate.
-        factors = a[:, j + 1:, j] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-        a[:, j + 1:, j + 1:] -= factors[:, :, None] * row[:, None, j + 1:]
-    pivots[:, -1] = a[:, -1, -1]
-    return np.abs(pivots).min(axis=1)
-
-
-def solve_stack(X, rhs, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``X[i] Y[i] = rhs[i]`` for a stack of k square matrices.
-
-    ``X`` has shape (k, s, s) and ``rhs`` shape (k, s, m).  The singularity
-    test is that of :func:`solve`, per matrix: :class:`SingularMatrixError`
-    (naming the first offending stack index) when a pivot of LU with
-    partial pivoting falls to or below ``tol.rel_sing * ||X[i]||_inf``.
-    The values are those of ``np.linalg.solve`` on the whole stack, equal
-    bit for bit to solving the matrices one at a time with it.
-    """
-    m = np.asarray(X, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
-        raise ValueError(f"stack must have shape (k, s, s) with s >= 1, got {m.shape}")
-    if b.ndim != 3 or b.shape[:2] != m.shape[:2]:
-        raise ValueError(
-            f"right-hand side shape {b.shape} incompatible with stack shape {m.shape}"
-        )
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("stack contains non-finite entries")
-    if b.size and not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side contains non-finite entries")
-    smallest = _smallest_pivots(m)
-    limit = tol.rel_sing * np.abs(m).sum(axis=2).max(axis=1)
-    bad = np.flatnonzero(smallest <= limit)
-    if bad.size:
-        i = int(bad[0])
-        raise SingularMatrixError(
-            f"stack index {i}: pivot {smallest[i]:.3e} at or below "
-            f"singularity threshold {limit[i]:.3e}"
-        )
-    return np.linalg.solve(m, b)
+        factors = a[j + 1:, j] / (pivot if pivot != 0.0 else 1.0)
+        a[j + 1:, j + 1:] -= factors[:, None] * a[j, j + 1:]
+    return float(np.abs(a.diagonal()).min())
 
 
 def is_singular(X, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

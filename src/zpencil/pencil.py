@@ -15,7 +15,6 @@ order at most s is an M-matrix and some submatrix of order s+1 is not.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,12 +267,25 @@ def _screened_perron(C: np.ndarray, P: np.ndarray, tol: TolerancePolicy):
     return values, int(np.count_nonzero(confirm))
 
 
-def _size_values(M: np.ndarray, A: np.ndarray, sets: np.ndarray, tol: TolerancePolicy):
+def _next_sets(sets: np.ndarray, n: int) -> np.ndarray:
+    # The index sets one larger than the rows of sets, in lexicographic order
+    # when sets is: each set followed by every vertex above its last, in turn.
+    last = sets[:, -1]
+    counts = n - 1 - last
+    starts = np.cumsum(counts) - counts
+    added = np.arange(counts.sum()) + np.repeat(last + 1 - starts, counts)
+    return np.column_stack((np.repeat(sets, counts, axis=0), added))
+
+
+def _size_values(MA: np.ndarray, sets: np.ndarray, tol: TolerancePolicy):
     # The values of one size of the sweep and how many sets got eigvals.
-    # Its stacks are freed on return, before the next size allocates.
-    rows, cols = sets[:, :, None], sets[:, None, :]
-    stack = M[rows, cols]
-    C = linalg.solve_stack(stack, A[rows, cols], tol)
+    # MA stacks B - A on A; one take on its flat rows gathers both stacks.
+    # There is no pivot test: validate certifies every (B - A)_J (see
+    # thresholds).  The stacks are freed on return, before the next size.
+    n = MA.shape[1]
+    stack, AJ = np.take(
+        MA.reshape(2, n * n), sets[:, :, None] * n + sets[:, None, :], axis=1)
+    C = np.linalg.solve(stack, AJ)
     if len(sets) < _SCREEN_MIN_SETS:
         return _perron_of_transform(C), len(sets)
     # |C| goes into the gathered stack, which the solve is done with.
@@ -356,11 +368,23 @@ def thresholds(
     """Exhaustive subpencil sweep: ``sigma_s`` and ``tau_s`` for every s.
 
     Every subpencil is well defined because principal submatrices of the
-    nonsingular M-matrix ``B - A`` are themselves nonsingular M-matrices.
+    nonsingular M-matrix ``M = B - A`` are themselves nonsingular
+    M-matrices: the witness ``u > 0`` of :func:`validate` has ``M u = 1``,
+    and as ``M_JK <= 0`` for the complement K of J, ``M_J u_J = 1 - M_JK u_K
+    >= 1``.  So the sweep runs no pivot test of its own.  No ``M_J`` is
+    worse conditioned than M either: the Schur complement
+    ``S = M_J - M_JK M_K^{-1} M_KJ`` has ``S^{-1} = (M^{-1})_JJ`` and
+    ``S <= M_J`` entrywise, so ``0 <= M_J^{-1} <= (M^{-1})_JJ`` and, with
+    ``||M_J||_inf <= ||M||_inf``, ``kappa_inf(M_J) <= kappa_inf(M)``; and
+    :func:`validate` has passed M through the pivot test of
+    :func:`~zpencil.linalg.solve`.  (The pivot ratio of that test is not
+    monotone in J: a proper subset can sit up to 2.5 times nearer the band
+    than M on the generator grids of the tests, none of them reaching it.)
+
     The sweep visits all 2^n - 1 nonempty index sets, one size at a time:
-    the k sets of size s, in lexicographic order, go through one
-    :func:`~zpencil.linalg.solve_stack` for ``C_J = (B_J - A_J)^{-1} A_J``
-    (with its pivot test on every set) and stacked ``np.linalg.eigvals``,
+    the k sets of size s, in lexicographic order, are gathered by one
+    ``np.take`` and go through one stacked ``np.linalg.solve`` for
+    ``C_J = (B_J - A_J)^{-1} A_J`` and stacked ``np.linalg.eigvals``,
     which give each set the same value as a solve and an eigenvalue call
     of its own.  Memory holds one size at a time.
 
@@ -382,8 +406,8 @@ def thresholds(
     size of order <= 8) the bounds save too little, if anything, and
     eigvals runs on every set.  At order 14, density 0.5, 41-48 of the
     16,383 sets get eigvals on the benchmark's pencils
-    (``ThresholdTable.confirmed``), and the sweep takes about a third of
-    the time of the full one.
+    (``ThresholdTable.confirmed``), and the sweep takes a fifth to a third
+    of the time of the full one.
 
     Raises :class:`~zpencil.zmatrix.EnumerationLimitError` when
     ``n > max_order``; library callers lift the guard by passing a larger
@@ -392,13 +416,15 @@ def thresholds(
     _require_valid(p, tol)
     n = p.n
     zmatrix._check_order_guard(n, max_order)
-    A, M = p.A, p.B - p.A
+    MA = np.stack((p.B - p.A, p.A))
     sigma: list[float] = []
     argmax: list[tuple[int, ...]] = []
     confirmed: list[int] = []
+    sets = np.arange(n)[:, None]
     for s in range(1, n + 1):
-        sets = np.array(list(itertools.combinations(range(n), s)))
-        values, count = _size_values(M, A, sets, tol)
+        if s > 1:
+            sets = _next_sets(sets, n)
+        values, count = _size_values(MA, sets, tol)
         best = float(values.max())
         sigma.append(best)
         first = int(np.argmax(values >= _band_floor(best, tol)))

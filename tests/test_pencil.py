@@ -10,7 +10,7 @@ import pytest
 import zpencil.pencil as pencil_module
 from zpencil.cli import parse_pencil
 from zpencil.digraph import classes, digraph_of, union
-from zpencil.linalg import TolerancePolicy, solve_stack
+from zpencil.linalg import DEFAULT_TOL, TolerancePolicy, inf_norm
 from zpencil.pencil import (
     Pencil,
     ValidationFailedError,
@@ -250,7 +250,7 @@ def _values_and_bounds(p):
     for s in range(1, p.n + 1):
         sets = np.array(list(itertools.combinations(range(p.n), s)))
         rows, cols = sets[:, :, None], sets[:, None, :]
-        C = solve_stack(M[rows, cols], p.A[rows, cols])
+        C = np.linalg.solve(M[rows, cols], p.A[rows, cols])
         _, upper = pencil_module._perron_bounds(np.abs(C))
         yield sets + 1, pencil_module._perron_of_transform(C), upper
 
@@ -263,6 +263,58 @@ def _block_diagonal(top, bottom, coupling=None):
     zero = np.zeros((top.shape[0], bottom.shape[1]))
     upper_right = zero if coupling is None else coupling
     return np.block([[top, upper_right], [zero.T, bottom]])
+
+
+def _near_band_pencils():
+    """Admitted generator pencils of order <= 8 whose slack is 2.5 or 10
+    times the condition-3 band of validate, the nearest that
+    test_condition_3_follows_the_stated_margin still decides."""
+    grid = itertools.product(range(1, 9), (0.2, 0.5, 1.0), (1e-6, 1.0, 1e6), (2.5, 10.0))
+    for seed, (n, density, magnitude, factor) in enumerate(grid):
+        knobs = dict(n=n, seed=seed, density=density, magnitude=magnitude)
+        probe = gen_pencil(GenConfig(**knobs, dominance_slack=1e-300))
+        band = DEFAULT_TOL.rel_sing * max(1.0, inf_norm(probe.B - probe.A))
+        p = gen_pencil(GenConfig(**knobs, dominance_slack=factor * band))
+        assert validate(p).ok, knobs
+        yield p
+
+
+class TestWitnessCertifiesEverySubset:
+    """The sweep has no pivot test: every principal submatrix of an
+    admitted ``M = B - A`` is a nonsingular M-matrix no worse conditioned
+    than M, since ``0 <= inv(M_J) <= inv(M)[J, J]``."""
+
+    def test_principal_inverses_are_dominated(self):
+        # A computed inverse is off by about n eps kappa(M) max|inv(M)|
+        # entrywise; the grid stays below an eighth of that.
+        eps = np.finfo(float).eps
+        for p in _near_band_pencils():
+            M = p.B - p.A
+            Minv = np.linalg.inv(M)
+            kappa = inf_norm(M) * inf_norm(Minv)
+            slack = p.n * eps * kappa * np.abs(Minv).max()
+            for s in range(1, p.n + 1):
+                for J in itertools.combinations(range(p.n), s):
+                    rows = np.array(J)[:, None]
+                    MJinv = np.linalg.inv(M[rows, rows.T])
+                    assert np.all(MJinv >= -slack), J
+                    assert np.all(MJinv <= Minv[rows, rows.T] + slack), J
+
+    def test_near_band_sweep_equals_oracle(self):
+        # oracle_thresholds has no singularity test either.
+        for p in _near_band_pencils():
+            tbl = thresholds(p)
+            assert _same_table(tbl, oracle_thresholds(p))
+            assert _same_top(p, tbl)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_index_sets_are_itertools_combinations(self, n):
+        sets = np.arange(n)[:, None]
+        for s in range(1, n + 1):
+            if s > 1:
+                sets = pencil_module._next_sets(sets, n)
+            want = np.array(list(itertools.combinations(range(n), s)))
+            assert np.array_equal(sets, want), s
 
 
 class TestScreen:
