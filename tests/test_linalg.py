@@ -213,21 +213,73 @@ class TestSolve:
         with pytest.raises(SingularMatrixError, match=f"^{want}$"):
             solve(X, np.ones(2))
 
-    def test_exactly_singular_raises(self):
-        X = np.eye(3)
-        X[2] = X[0] + X[1]
-        with pytest.raises(SingularMatrixError):
-            solve(X, np.ones(3))
+    @pytest.mark.parametrize("X, rhs", [
+        (np.eye(2), np.ones((2, 2, 1))),
+        (np.ones((1, 2, 3)), np.ones((1, 2, 1))),
+        (np.ones((0, 0)), np.ones(0)),
+        (np.ones((2, 3)), np.ones(2)),
+        (np.eye(2), np.ones((3, 2))),
+        (np.eye(2)[None], np.ones((1, 2))),
+        (np.full((2, 2), np.nan), np.ones(2)),
+        (np.eye(2), np.full(2, np.inf)),
+    ])
+    def test_rejects_bad_shapes_and_non_finite_entries(self, X, rhs):
+        with pytest.raises(ValueError):
+            solve(X, rhs)
+
+
+def _stack(rng, k, s, near_singular=False):
+    """k random matrices of order s; with ``near_singular``, each has its
+    last row replaced by a combination of the others plus a perturbation
+    whose size spans the singularity band of the default policy."""
+    X = rng.normal(size=(k, s, s))
+    if near_singular:
+        for i in range(k):
+            w = rng.normal(size=s - 1)
+            X[i, -1] = w @ X[i, :-1] + 10.0 ** rng.uniform(-15, -5) * rng.normal(size=s)
+    return X
+
+
+class TestSolveStack:
+    """Stacks of matrices as the threshold sweep gathers them: through
+    :func:`solve` slice by slice, and through the one stacked
+    ``np.linalg.solve`` that the sweep runs with no pivot test."""
+
+    def test_values_equal_numpy_solve_bitwise(self):
+        rng = np.random.default_rng(11)
+        for s in range(1, 9):
+            X = _stack(rng, 40, s) + s * np.eye(s)
+            R = rng.normal(size=(40, s, 3))
+            got = np.linalg.solve(X, R)
+            for i in range(40):
+                assert np.array_equal(got[i], np.linalg.solve(X[i], R[i]))
+                assert np.array_equal(got[i], solve(X[i], R[i]))
+
+    def test_exactly_singular_slice_raises_with_its_index(self):
+        X = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        X[1, 2] = X[1, 0] + X[1, 1]
+        raised = []
+        for i in range(3):
+            try:
+                solve(X[i], np.ones(3))
+            except SingularMatrixError:
+                raised.append(i)
+        assert raised == [1]
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(X, np.ones((3, 3, 1)))
 
     def test_pivot_below_the_band_raises(self):
-        X = np.diag([1.0, 1e-12])
+        X = np.stack([np.eye(2), np.diag([1.0, 1e-12])])
+        R = np.ones((2, 2, 2))
+        assert np.array_equal(solve(X[0], R[0]), R[0])
         with pytest.raises(SingularMatrixError):
-            solve(X, np.ones((2, 2)))
+            solve(X[1], R[1])
+        # The stacked solve has no pivot test; solve under a looser policy
+        # returns its bits.
         loose = TolerancePolicy(rel_sing=1e-13, rel_eig=1e-13, abs_floor=1e-15)
-        assert np.array_equal(solve(X, np.ones((2, 2)), loose),
-                              np.linalg.solve(X, np.ones((2, 2))))
+        assert np.array_equal(solve(X[1], R[1], loose), np.linalg.solve(X, R)[1])
 
-    def test_verdict_matches_lu_reference(self):
+    def test_verdict_matches_solve_slice_by_slice(self):
         # The reference is the diagonal of U from scipy's LU with partial
         # pivoting (LAPACK getrf), which orders its arithmetic differently:
         # matrices whose smallest pivot is within 1% of the band are skipped.
@@ -255,32 +307,6 @@ class TestSolve:
                 raised += want
         assert skipped < 20
         assert 50 < raised < 400  # both verdicts are well represented
-
-    @pytest.mark.parametrize("X, rhs", [
-        (np.eye(2), np.ones((2, 2, 1))),
-        (np.ones((1, 2, 3)), np.ones((1, 2, 1))),
-        (np.ones((0, 0)), np.ones(0)),
-        (np.ones((2, 3)), np.ones(2)),
-        (np.eye(2), np.ones((3, 2))),
-        (np.eye(2)[None], np.ones((1, 2))),
-        (np.full((2, 2), np.nan), np.ones(2)),
-        (np.eye(2), np.full(2, np.inf)),
-    ])
-    def test_rejects_bad_shapes_and_non_finite_entries(self, X, rhs):
-        with pytest.raises(ValueError):
-            solve(X, rhs)
-
-
-def _stack(rng, k, s, near_singular=False):
-    """k random matrices of order s; with ``near_singular``, each has its
-    last row replaced by a combination of the others plus a perturbation
-    whose size spans the singularity band of the default policy."""
-    X = rng.normal(size=(k, s, s))
-    if near_singular:
-        for i in range(k):
-            w = rng.normal(size=s - 1)
-            X[i, -1] = w @ X[i, :-1] + 10.0 ** rng.uniform(-15, -5) * rng.normal(size=s)
-    return X
 
 
 class TestIsSingular:
