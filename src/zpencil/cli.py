@@ -496,7 +496,10 @@ def cmd_graph(p: Pencil, args, tol: TolerancePolicy) -> int:
         else:
             dot = reduced_graph_to_dot(reduced_graph(g))
     if args.out:
-        Path(args.out).write_text(dot, encoding="utf-8")
+        try:
+            Path(args.out).write_text(dot, encoding="utf-8")
+        except OSError as exc:
+            raise CliUsageError(f"cannot write {args.out}: {exc}") from None
     else:
         print(dot, end="")
     return 0
@@ -552,7 +555,7 @@ def main(argv=None) -> int:
         tol = _tolerance_from_env()
         try:
             text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliUsageError(f"cannot read {args.file}: {exc}") from None
         p = parse_pencil(text)
         return args.func(p, args, tol)

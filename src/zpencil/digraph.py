@@ -1,6 +1,12 @@
 """Digraphs of matrices, classes (strongly connected components), reduced
 graphs carrying the access relation, and DOT export.
 
+Every question asked of a digraph here is a question about reachability,
+so each :class:`Digraph` carries one reachability closure,
+:attr:`Digraph.reach`, built once and cached.  Classes are sets of
+mutually reachable vertices, the reduced graph is reach between class
+representatives, and an access set is the vertices whose reach meets it.
+
 Vertices are 1-based.  Class indices are 0-based positions into a
 partition's class list; they surface as labels ``C1..Ck`` only in DOT and
 CLI output.
@@ -8,10 +14,9 @@ CLI output.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,18 +53,23 @@ class Digraph:
                 raise ValueError(f"edge ({j},{k}) out of range 1..{self.n}")
 
     @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for j, k in self.edges:
-            out[j].append(k)
-        return {v: tuple(sorted(ks)) for v, ks in out.items()}
+    def reach(self) -> tuple[int, ...]:
+        """Reachability closure: bit ``w - 1`` of ``reach[v - 1]`` is set
+        when a path of length zero or more runs from v to w, so every
+        vertex reaches itself.
 
-    @cached_property
-    def predecessors(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        Warshall's algorithm on Python-int bitmask rows: once vertex v is
+        allowed as an intermediate, every row that reaches v takes v's row.
+        Built once per digraph; :func:`classes`, :func:`reduced_graph` and
+        :func:`access_set` all read it.
+        """
+        rows = [1 << v for v in range(self.n)]
         for j, k in self.edges:
-            inc[k].append(j)
-        return {v: tuple(sorted(js)) for v, js in inc.items()}
+            rows[j - 1] |= 1 << (k - 1)
+        for v in range(self.n):
+            bit, via = 1 << v, rows[v]
+            rows = [r | via if r & bit else r for r in rows]
+        return tuple(rows)
 
 
 def digraph_of(X, tol: TolerancePolicy = DEFAULT_TOL) -> Digraph:
@@ -110,84 +120,54 @@ class ClassPartition:
         return self.vertex_to_class[v]
 
 
-def _tarjan_sccs(g: Digraph) -> list[list[int]]:
-    # Iterative Tarjan; deterministic because roots and successors are
-    # visited in increasing vertex order.
-    succ = g.successors
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(1, g.n + 1):
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[int, Iterable[int]]] = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+def _bits(mask: int) -> Iterator[int]:
+    # The positions of the set bits of mask, in increasing order.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def classes(g: Digraph) -> ClassPartition:
-    """Partition into strongly connected classes.
+    """Partition into strongly connected classes: vertices v and w share a
+    class when each reaches the other.
 
-    Ordering is deterministic: topological order of the condensation
-    (edges run from earlier to later classes), ties broken by the smallest
-    contained vertex.  A single vertex without a loop is a class.
+    Ordering is deterministic: Kahn's topological order of the condensation
+    (edges run from earlier to later classes), taking among the ready
+    classes the one with the smallest vertex first.  A single vertex
+    without a loop is a class.
     """
-    comps = [tuple(sorted(c)) for c in _tarjan_sccs(g)]
-    cls_of = {v: i for i, c in enumerate(comps) for v in c}
-    k = len(comps)
-    out_adj: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for j, kk in g.edges:
-        a, b = cls_of[j], cls_of[kk]
-        if a != b and b not in out_adj[a]:
-            out_adj[a].add(b)
-            indeg[b] += 1
-    heap = [(comps[i][0], i) for i in range(k) if indeg[i] == 0]
-    heapq.heapify(heap)
-    ordered: list[int] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        ordered.append(i)
-        for b in sorted(out_adj[i]):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (comps[b][0], b))
-    return ClassPartition(tuple(comps[i] for i in ordered))
+    reach = g.reach
+    index = [-1] * g.n
+    comps: list[tuple[int, ...]] = []
+    for v in range(g.n):
+        if index[v] < 0:
+            members = tuple(w for w in _bits(reach[v]) if reach[w] >> v & 1)
+            for w in members:
+                index[w] = len(comps)
+            comps.append(members)
+    # comps runs in increasing smallest vertex, so the lowest bit of ready
+    # is the ready class with the smallest vertex.  later[a] lists every
+    # class that class a reaches, directly or not; a class is ready once
+    # no unplaced class reaches it, which waiting counts.  At most k^2 steps.
+    firsts = sum(1 << c[0] for c in comps)
+    later = [[index[w] for w in _bits(reach[c[0]] & firsts) if w != c[0]]
+             for c in comps]
+    waiting = [0] * len(comps)
+    for succ in later:
+        for b in succ:
+            waiting[b] += 1
+    ready = sum(1 << b for b, count in enumerate(waiting) if not count)
+    ordered: list[tuple[int, ...]] = []
+    while ready:
+        a = (ready & -ready).bit_length() - 1
+        ready ^= 1 << a
+        ordered.append(tuple(w + 1 for w in comps[a]))
+        for b in later[a]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                ready |= 1 << b
+    return ClassPartition(tuple(ordered))
 
 
 @dataclass(frozen=True)
@@ -207,43 +187,24 @@ class ReducedGraph:
 
 
 def reduced_graph(g: Digraph) -> ReducedGraph:
-    """Condense ``g`` to its classes and close the between-class edges
-    transitively."""
+    """Condense ``g`` to its classes; access between two classes is reach
+    between their smallest vertices, which is already transitively
+    closed."""
     part = classes(g)
-    k = len(part.classes)
-    adj: list[set[int]] = [set() for _ in range(k)]
-    for j, kk in g.edges:
-        a, b = part.class_of(j), part.class_of(kk)
-        if a != b:
-            adj[a].add(b)
-    closed: set[tuple[int, int]] = set()
-    for start in range(k):
-        seen: set[int] = set()
-        frontier = list(adj[start])
-        while frontier:
-            b = frontier.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            frontier.extend(adj[b])
-        closed.update((start, b) for b in seen if b != start)
-    return ReducedGraph(part, frozenset(closed))
+    reach = g.reach
+    firsts = sum(1 << (c[0] - 1) for c in part.classes)
+    return ReducedGraph(part, frozenset(
+        (a, part.class_of(w + 1))
+        for a, c in enumerate(part.classes)
+        for w in _bits(reach[c[0] - 1] & firsts) if w != c[0] - 1
+    ))
 
 
 def access_set(g: Digraph, J: Iterable[int]) -> tuple[int, ...]:
     """All vertices with access to some vertex of ``J``, including ``J``
     itself: access is reflexive even without loops."""
-    targets = index_set(J, g.n)
-    pred = g.predecessors
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return tuple(sorted(seen))
+    targets = sum(1 << (v - 1) for v in index_set(J, g.n))
+    return tuple(v + 1 for v, r in enumerate(g.reach) if r & targets)
 
 
 def digraph_to_dot(g: Digraph, name: str = "pencil") -> str:

@@ -292,12 +292,6 @@ def _size_values(MA: np.ndarray, sets: np.ndarray, tol: TolerancePolicy):
     return _screened_perron(C, np.abs(C, out=stack), tol)
 
 
-def _subpencil_perron(p: Pencil, J, tol: TolerancePolicy) -> float:
-    AJ = submatrix(p.A, J)
-    BJ = submatrix(p.B, J)
-    return float(_perron_of_transform(linalg.solve(BJ - AJ, AJ, tol)))
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Eigenvalue data of the pencil through the transform ``C``.
@@ -569,9 +563,12 @@ def zs_bound(
     """
     _require_valid(p, tol)
     rho = tbl.rho_ab
+    M = p.B - p.A
     out: list[CriticalClassBound] = []
     for cls in part.classes:
-        mu = _subpencil_perron(p, cls, tol)
+        # No pivot test: validate certifies every (B - A)_K (see thresholds).
+        AK = submatrix(p.A, cls)
+        mu = float(_perron_of_transform(np.linalg.solve(submatrix(M, cls), AK)))
         tau_cls = mu / (1.0 + mu)
         if abs(tau_cls - rho) <= tol.rel_eig:
             m = len(cls)

@@ -118,6 +118,14 @@ class TestCommands:
     def test_missing_file_exits_2(self, capsys):
         assert main(["validate", "no-such-file.pencil"]) == 2
 
+    def test_non_utf8_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.pencil"
+        bad.write_bytes("n = 1\nA:\n0\nB:\n1 # \u00e9\n".encode("latin-1"))
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert err.count("\n") == 1
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.pencil"
         bad.write_text("n = 2\nA:\n1 2 3\n")
@@ -186,6 +194,16 @@ class TestCommands:
              "--out", str(target)]
         ) == 0
         assert 'C1 [label="C1 = {1}"];' in target.read_text()
+
+    def test_graph_to_missing_directory_exits_2(self, data_dir, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "x.dot"
+        assert main(
+            ["graph", str(data_dir / "ex3.pencil"), "--out", str(target)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReport:

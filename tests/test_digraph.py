@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,81 @@ class TestAccessSet:
                     if red.accesses(k, j):
                         expected |= set(other)
                 assert set(access_set(g, cls)) == expected
+
+
+def _oracle(n: int, edges):
+    """Classes, their order, reduced-graph edges and access by definition:
+    the closure ``(I + adjacency)^n > 0``, classes as mutually reachable
+    sets, and the documented order by Kahn's algorithm with a heap keyed
+    on each class's smallest vertex."""
+    adj = np.eye(n)
+    for j, k in edges:
+        adj[j - 1, k - 1] = 1.0
+    reach = np.linalg.matrix_power(adj, n) > 0
+    mutual = reach & reach.T
+    comps = sorted({tuple(int(w) + 1 for w in np.flatnonzero(row)) for row in mutual})
+    cls_of = {v: i for i, c in enumerate(comps) for v in c}
+    succ = [set() for _ in comps]
+    for j, k in edges:
+        if cls_of[j] != cls_of[k]:
+            succ[cls_of[j]].add(cls_of[k])
+    indeg = [0] * len(comps)
+    for out in succ:
+        for b in out:
+            indeg[b] += 1
+    heap = [(comps[i][0], i) for i, d in enumerate(indeg) if d == 0]
+    heapq.heapify(heap)
+    ordered = []
+    while heap:
+        _, a = heapq.heappop(heap)
+        ordered.append(comps[a])
+        for b in succ[a]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, (comps[b][0], b))
+    red = frozenset(
+        (a, b) for a, ca in enumerate(ordered) for b, cb in enumerate(ordered)
+        if a != b and reach[ca[0] - 1, cb[0] - 1]
+    )
+    return tuple(ordered), red, reach
+
+
+def _oracle_graphs():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 15):
+        yield Digraph(n, frozenset())
+        yield Digraph(n, frozenset((j, k) for j in range(1, n + 1)
+                                   for k in range(1, n + 1)))
+        for density in (0.05, 0.1, 0.2, 0.3, 0.5):
+            for _ in range(12):
+                X = rng.random((n, n)) < density
+                yield digraph_of(X.astype(float))
+
+
+class TestAgainstDefinition:
+    """classes, reduced_graph and access_set against _oracle on seeded
+    random digraphs of order 1-14, edgeless and complete ones included."""
+
+    def test_classes_and_their_order(self):
+        for g in _oracle_graphs():
+            ordered, _, _ = _oracle(g.n, g.edges)
+            assert classes(g).classes == ordered, sorted(g.edges)
+
+    def test_reduced_graph_edges(self):
+        for g in _oracle_graphs():
+            ordered, red, _ = _oracle(g.n, g.edges)
+            got = reduced_graph(g)
+            assert got.partition.classes == ordered
+            assert got.edges == red, sorted(g.edges)
+
+    def test_access_sets(self):
+        rng = np.random.default_rng(7)
+        for g in _oracle_graphs():
+            _, _, reach = _oracle(g.n, g.edges)
+            for _ in range(3):
+                J = rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+                expected = tuple(int(v) + 1 for v in np.flatnonzero(reach[:, J].any(axis=1)))
+                assert access_set(g, (J + 1).tolist()) == expected, sorted(g.edges)
 
 
 class TestLemma4Surrogate:

@@ -10,8 +10,9 @@ import pytest
 import zpencil.pencil as pencil_module
 from zpencil.cli import parse_pencil
 from zpencil.digraph import classes, digraph_of, union
-from zpencil.linalg import DEFAULT_TOL, TolerancePolicy, inf_norm
+from zpencil.linalg import DEFAULT_TOL, TolerancePolicy, inf_norm, solve, submatrix
 from zpencil.pencil import (
+    CriticalClassBound,
     Pencil,
     ValidationFailedError,
     classify_at,
@@ -543,6 +544,34 @@ class TestZsBound:
         tbl = thresholds(ex2)
         for t in np.linspace(0.01, RHO2 - 0.01, 9):
             assert classify_at(ex2, t, tbl) <= 1
+
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generator_grid_matches_per_class_reference(self, n):
+        # Per union class K: the guarded solve for C_K = (B - A)_K^{-1} A_K,
+        # then the largest real part of its eigenvalues, clipped at 0.
+        compared = attained = 0
+        for density, magnitude, slack in itertools.product(
+                (0.05, 0.2, 0.5, 1.0), (1e-6, 1e-3, 1.0, 1e3, 1e6), (1e-9, 1e-5, 0.1)):
+            p = gen_pencil(GenConfig(n=n, seed=300 + n, density=density,
+                                     magnitude=magnitude, dominance_slack=slack))
+            if not validate(p).ok:
+                continue
+            tbl = thresholds(p)
+            part = classes(union(digraph_of(p.A), digraph_of(p.B)))
+            want = []
+            for K in part.classes:
+                AK = submatrix(p.A, K)
+                C = solve(submatrix(p.B, K) - AK, AK)
+                mu = max(0.0, float(np.linalg.eigvals(C).real.max()))
+                if abs(mu / (1.0 + mu) - tbl.rho_ab) <= DEFAULT_TOL.rel_eig:
+                    m = len(K)
+                    want.append(CriticalClassBound(K, m, n - 1 if m == n else m - 1))
+            got = zs_bound(p, tbl, part)
+            assert got == tuple(want), (density, magnitude, slack)
+            compared += 1
+            attained += bool(got)
+        assert compared >= 30 and attained == compared
 
 
 class TestTrichotomyConsistency:
