@@ -140,6 +140,11 @@ def _parse_json_pencil(text: str) -> Pencil:
         raise PencilFormatError(
             f"bad JSON pencil: n must be an integer of at least 1, "
             f"got {json.dumps(n)}")
+    for name in ("A", "B"):  # numpy would read true and "1" as 1.0
+        rows = payload.get(name)
+        if isinstance(rows, list) and any(type(v) not in (int, float) for row in rows
+                                          if isinstance(row, list) for v in row):
+            raise PencilFormatError(f"bad JSON pencil: {name} has an entry that is not a number")
     try:
         A = np.array(payload["A"], dtype=float)
         B = np.array(payload["B"], dtype=float)
@@ -286,10 +291,10 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     crit = critical_classes(p, summary, tol)
     basis = pencil_eigenbasis(p, crit, tol)
     if crit.name == "union":
-        union_graph = crit.graph
+        union_classes = crit.partition
     else:
-        union_graph = union(digraph_of(p.A, tol), digraph_of(p.B, tol))
-    bounds = zs_bound(p, tbl, classes(union_graph), tol)
+        union_classes = classes(union(crit.graph, digraph_of(p.B, tol)))
+    bounds = zs_bound(p, tbl, union_classes, tol)
     return {
         "validation": _validation_dict(report),
         "mu": float(summary.mu),

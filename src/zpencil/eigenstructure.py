@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zmatrix
-from .digraph import Digraph, access_set, digraph_of, reduced_graph, union
+from .digraph import ClassPartition, Digraph, access_set, digraph_of, reduced_graph, union
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -190,6 +190,11 @@ class CriticalClasses:
     name: str
     graph: Digraph
     labels: tuple[ClassLabel, ...]
+
+    @property
+    def partition(self) -> ClassPartition:
+        """The classes of ``graph`` in order, as ``labels`` lists them."""
+        return ClassPartition(tuple(lab.vertices for lab in self.labels))
 
 
 def critical_classes(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, zmatrix
-from .digraph import ClassPartition
+from .digraph import ClassPartition, _bits
 from .linalg import DEFAULT_TOL, TolerancePolicy, as_square, submatrix
 from .zmatrix import MAX_ENUMERATION_ORDER, MStatus
 
@@ -48,13 +48,15 @@ __all__ = [
 class Pencil:
     """The pair (A, B) defining the family ``t*B - A``.
 
-    Both matrices are read-only float64 copies, and :func:`validate`
-    records its verdict per policy, so instances can be shared freely.
+    Both matrices are read-only float64 copies, :func:`validate` records
+    its verdict per policy and :func:`m_trichotomy` the critical value, so
+    instances can be shared freely.
     """
 
     A: np.ndarray
     B: np.ndarray
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    _rho_ab: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = as_square(self.A, "A")
@@ -431,6 +433,37 @@ def thresholds(
     )
 
 
+def _band(t: float, tol: TolerancePolicy) -> tuple[float, float]:
+    # t and the band delta shared by classify_at and m_trichotomy.
+    t = float(t)
+    delta = tol.rel_sing * max(1.0, abs(t))
+    if t < -delta or t > 1.0 + delta:
+        raise ValueError(f"t={t} outside [0, 1]")
+    return t, delta
+
+
+def _class_at_zero(p: Pencil, tol: TolerancePolicy) -> int:
+    # -A_J is an M-matrix iff A_J has a zero diagonal and G(A_J) is acyclic,
+    # so the class of -A is girth(G(A)) - 1 (a loop has length 1), capped at
+    # n.  A breadth-first search from v, with the vertices below v already
+    # seen, finds the shortest cycle whose least vertex is v.
+    succ = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in np.abs(p.A) > tol.abs_floor]
+    girth = p.n + 1
+    for v in range(p.n):
+        frontier, seen, length = 1 << v, (2 << v) - 1, 0
+        while frontier and length + 1 < girth:
+            length += 1
+            step = 0
+            for w in _bits(frontier):
+                step |= succ[w]
+            if step >> v & 1:
+                girth = length
+            frontier = step & ~seen
+            seen |= step
+    return girth - 1
+
+
 def classify_at(
     p: Pencil,
     t: float,
@@ -443,17 +476,13 @@ def classify_at(
     ``delta = tol.rel_sing * max(1, t)``), so coincident thresholds make
     the higher class win and the intermediate classes are skipped.
 
-    The boundary point t = 0 is decided directly from ``-A``: when every
-    diagonal entry of A vanishes the class function may jump there (``-A``
-    can be a singular M-matrix even though the family leaves the top class
-    immediately for t > 0), and the thresholds cannot see that.
+    For ``t <= delta`` the class is that of ``-A``, which may jump at 0
+    unseen by the thresholds: 0 when ``G(A)`` has a loop, else
+    ``min(n, girth - 1)``, from one breadth-first search per vertex.
     """
-    t = float(t)
-    delta = tol.rel_sing * max(1.0, abs(t))
-    if t < -delta or t > 1.0 + delta:
-        raise ValueError(f"t={t} outside [0, 1]")
+    t, delta = _band(t, tol)
     if t <= delta:
-        return zmatrix.classify_direct(p.matrix_at(0.0), tol)
+        return _class_at_zero(p, tol)
     s = 0
     for k in range(1, tbl.n + 1):
         if tbl.tau[k] <= t + delta:
@@ -525,15 +554,28 @@ def partition(
 
 
 def m_trichotomy(p: Pencil, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> MStatus:
-    """M-matrix status of ``t*B - A``: NonsingularM above the critical
-    value, SingularM at it (within the band), NotM strictly below it on
-    (0, rho_ab); at t = 0 either SingularM or NotM."""
-    t = float(t)
-    delta = tol.rel_sing * max(1.0, abs(t))
-    if t < -delta or t > 1.0 + delta:
-        raise ValueError(f"t={t} outside [0, 1]")
+    """M-matrix status of ``t*B - A``, read off ``rho_ab`` and ``G(A)``.
+
+    For 0 < t < 1, ``t(B - A) - (1 - t)A`` is a regular splitting, so the
+    status is NotM when ``rho_ab > t + delta`` (the band of
+    :func:`classify_at`; ``rho_ab`` is the table's ``tau[n]``, so this is
+    exactly when ``classify_at(t) < n``), SingularM within ``delta`` of
+    ``rho_ab`` and NonsingularM above.  At t = 1 it is NonsingularM, the
+    ``B - A`` that :func:`validate` certified.  For ``t <= delta`` it is
+    SingularM when :func:`classify_at`'s class of ``-A`` is n, else NotM.
+    """
+    t, delta = _band(t, tol)
     _require_valid(p, tol)
-    return zmatrix.m_status(p.matrix_at(min(max(t, 0.0), 1.0)), tol)
+    if t <= delta:
+        return MStatus.SINGULAR_M if _class_at_zero(p, tol) == p.n else MStatus.NOT_M
+    if t >= 1.0:
+        return MStatus.NONSINGULAR_M
+    if tol not in p._rho_ab:  # one spectral summary per pencil, not per t
+        p._rho_ab[tol] = spectral_summary(p, tol).rho_ab
+    rho = p._rho_ab[tol]
+    if rho > t + delta:
+        return MStatus.NOT_M
+    return MStatus.SINGULAR_M if rho >= t - delta else MStatus.NONSINGULAR_M
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,17 @@ class TestCommands:
             err = capsys.readouterr().err
             assert err == "error: bad JSON pencil: B contains non-finite entries\n"
 
+    @pytest.mark.parametrize("payload, name", [
+        ('{"n": 1, "A": [[true]], "B": [[2]]}', "A"),
+        ('{"n": 2, "A": [[1, 2], [1, 0]], "B": [[2, 2], [1, "1"]]}', "B"),
+    ])
+    def test_json_entry_must_be_a_json_number(self, tmp_path, capsys, payload, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bad JSON pencil: {name} has an entry that is not a number\n")
+
     @pytest.mark.parametrize("n, order", [
         ("2.9", 2), ("true", 1), ('"1"', 1), ("2.0", 2), ("0", 1), ("null", 1),
     ])
@@ -352,25 +363,35 @@ class TestOneStepPerReport:
         assert main([argv[0], str(DATA_DIR / "ex2.pencil"), *argv[1:]]) == 0
         assert steps == {"summary": 1, "labels": 1}
 
+    def test_sweep_makes_one_summary_for_all_steps(self, capsys, steps):
+        assert main(["sweep", str(DATA_DIR / "ex2.pencil"), "--steps", "11"]) == 0
+        assert steps == {"summary": 1, "labels": 0}
+
     @pytest.mark.parametrize("name, gamma", [("ex2", "union"), ("ex3", "a")])
     def test_one_union_digraph(self, request, monkeypatch, name, gamma):
-        # ex2 reads the union from the critical classes; ex3 (rho_ab = 0)
-        # labels G(A), so the bounds build the union themselves.
-        made = []
-        real = zpencil.digraph.union
+        # ex2 reads the union and its classes from the critical classes;
+        # ex3 (rho_ab = 0) labels G(A), so the bounds join it with G(B)
+        # and partition the union themselves.
+        made = dict.fromkeys(("union", "digraph_of", "classes"), 0)
 
-        def counting(*args, **kwargs):
-            made.append(args)
-            return real(*args, **kwargs)
+        def counting(fn, real):
+            def call(*args, **kwargs):
+                made[fn] += 1
+                return real(*args, **kwargs)
+            return call
 
-        for module in (zpencil.eigenstructure, zpencil.cli):
-            monkeypatch.setattr(module, "union", counting)
+        for fn in made:
+            wrapped = counting(fn, getattr(zpencil.digraph, fn))
+            for module in (zpencil.digraph, zpencil.eigenstructure, zpencil.cli):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, wrapped)
         p = request.getfixturevalue(name)
         assert zpencil.eigenstructure.critical_classes(
             p, zpencil.pencil.spectral_summary(p)).name == gamma
-        made.clear()
+        made.update(dict.fromkeys(made, 0))
         build_report(p)
-        assert len(made) == 1
+        partitions = 1 if gamma == "union" else 2
+        assert made == {"union": 1, "digraph_of": 2, "classes": partitions}
 
 
 class TestLibraryErrors:

@@ -521,6 +521,74 @@ class TestMTrichotomy:
         with pytest.raises(ValueError):
             m_trichotomy(ex1, 1.5)
 
+    @pytest.mark.parametrize("cfg", [
+        GenConfig(2, (2, 27), 0.2, 1e6, 1e-9), GenConfig(3, (1, 88), 0.2, 1e6, 1e-5),
+    ])
+    def test_nonsingular_at_one_when_rho_is_within_the_band_of_one(self, cfg):
+        # B - A is what validate certified, though 1 - rho_ab < rel_sing
+        p = gen_pencil(cfg)
+        assert validate(p).ok and 1.0 - spectral_summary(p).rho_ab < 1e-9
+        assert m_trichotomy(p, 1.0) is MStatus.NONSINGULAR_M
+
+    def test_nonsingular_above_a_zero_critical_value(self):
+        p = gen_pencil(GenConfig(2, (1, 13), 0.05, 1e6, 1e-5))
+        assert validate(p).ok and spectral_summary(p).rho_ab == 0.0
+        assert m_trichotomy(p, 0.5) is MStatus.NONSINGULAR_M
+
+
+def _zero_diagonal_with_girth(n, girth, rng):
+    """Zero-diagonal A whose digraph has the given girth (n + 1: acyclic).
+
+    A directed cycle on the first ``girth`` vertices of a random order,
+    then forward edges that leave the cycle or join later vertices, so no
+    path returns to the cycle and no shorter cycle forms."""
+    order = rng.permutation(n)
+    A = np.zeros((n, n))
+    cycle = girth if girth <= n else 0
+    for pos in range(n):
+        for later in range(max(pos + 1, cycle), n):
+            if rng.random() < 0.5:
+                A[order[pos], order[later]] = rng.uniform(0.5, 1.0)
+    for pos in range(cycle):
+        A[order[pos], order[(pos + 1) % cycle]] = rng.uniform(0.5, 1.0)
+    return A
+
+
+class TestClassAtZero:
+    """At t = 0 the class of -A is read off G(A): 0 with a loop, else
+    min(n, girth - 1)."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_direct_classifier(self, n):
+        rng = np.random.default_rng(n)
+        cases = [(_zero_diagonal_with_girth(n, g, rng), g - 1) for g in range(2, n + 2)]
+        for g in range(2, n + 2):
+            A = _zero_diagonal_with_girth(n, g, rng)
+            loop = rng.integers(n)
+            A[loop, loop] = rng.uniform(0.5, 1.0)
+            cases.append((A, 0))
+        for A, want in cases:
+            p = Pencil(A=A, B=A + np.eye(n))
+            tbl = thresholds(p)
+            assert classify_at(p, 0.0, tbl) == classify_direct(-A) == want
+            status = MStatus.SINGULAR_M if want == n else MStatus.NOT_M
+            assert m_trichotomy(p, 0.0) is status
+
+    def test_order_16_enumerates_no_subset(self, monkeypatch):
+        n = 16
+        A = _zero_diagonal_with_girth(n, n + 1, np.random.default_rng(16))
+        p = Pencil(A=A, B=A + np.eye(n))
+        assert validate(p).ok
+        tbl = thresholds(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the t = 0 rule solved an eigenproblem")
+
+        for name in ("classify_direct", "m_status"):
+            monkeypatch.setattr(f"zpencil.zmatrix.{name}", refuse)
+        assert classify_at(p, 0.0, tbl) == n
+        assert m_trichotomy(p, 0.0) is MStatus.SINGULAR_M
+
 
 class TestZsBound:
     def test_golden_4x4(self, ex2):
@@ -574,15 +642,60 @@ class TestZsBound:
         assert compared >= 30 and attained == compared
 
 
+def _probe_points(rho):
+    """A grid of [0, 1] and t = rho_ab (1 +- 1e-6), rho_ab (1 +- 1e-8)."""
+    ts = list(np.linspace(0.0, 1.0, 13))
+    ts += [rho * (1.0 + f) for f in (-1e-6, 1e-6, -1e-8, 1e-8)]
+    return [min(max(float(t), 0.0), 1.0) for t in ts]
+
+
+def _magnitude_grid():
+    """Admitted generator pencils of order 2-6, magnitudes 1e-6 to 1e6."""
+    grid = itertools.product(range(2, 7), (1e-6, 1e-3, 1.0, 1e3, 1e6),
+                             (0.2, 0.5, 1.0), (1e-5, 0.1))
+    for seed, (n, magnitude, density, slack) in enumerate(grid):
+        p = gen_pencil(GenConfig(n=n, seed=700 + seed, density=density,
+                                 magnitude=magnitude, dominance_slack=slack))
+        if validate(p).ok:
+            yield p
+
+
 class TestTrichotomyConsistency:
     def test_m_side_iff_top_class(self):
-        # NonsingularM or SingularM exactly when the class index is n
-        for seed in range(20):
-            p = gen_pencil(GenConfig(n=4, seed=seed, density=0.45))
+        # NonsingularM or SingularM exactly when the class index is n, also
+        # within 1e-6 of rho_ab at magnitudes 1e-6 to 1e6
+        pencils = [gen_pencil(GenConfig(n=4, seed=seed, density=0.45)) for seed in range(20)]
+        compared = 0
+        for p in itertools.chain(pencils, _magnitude_grid()):
             tbl = thresholds(p)
-            for t in np.linspace(0.0, 1.0, 13):
+            for t in _probe_points(tbl.rho_ab):
                 is_m = m_trichotomy(p, t) is not MStatus.NOT_M
-                assert is_m == (classify_at(p, t, tbl) == p.n)
+                assert is_m == (classify_at(p, t, tbl) == p.n), (p.n, t)
+                compared += 1
+        assert compared >= 120 * 17
+
+    def test_verdicts_do_not_depend_on_scale(self):
+        # At t = 0 the digraph of cA must keep that of A: every nonzero
+        # |c a_ij| above the absolute floor.
+        compared = 0
+        for p in _magnitude_grid():
+            tbl = thresholds(p)
+            ts = _probe_points(tbl.rho_ab)
+            want = [(classify_at(p, t, tbl), m_trichotomy(p, t)) for t in ts]
+            nonzero = np.abs(p.A[p.A != 0.0])
+            for c in (1e-6, 1e6):
+                q = Pencil(A=c * p.A, B=c * p.B)
+                if not validate(q).ok:  # condition 3 has an absolute band
+                    continue
+                same_graph = (nonzero.size == 0
+                              or min(1.0, c) * nonzero.min() > DEFAULT_TOL.abs_floor)
+                qtbl = thresholds(q)
+                for t, verdict in zip(ts, want):
+                    if t > 0.0 or same_graph:
+                        got = (classify_at(q, t, qtbl), m_trichotomy(q, t))
+                        assert got == verdict, (c, t)
+                        compared += 1
+        assert compared >= 100 * 17
 
 
 class TestEnumerationGuard:
