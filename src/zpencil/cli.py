@@ -27,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .digraph import (
-    classes,
-    digraph_of,
-    digraph_to_dot,
-    reduced_graph,
-    reduced_graph_to_dot,
-    union,
-)
+from .digraph import digraph_of, digraph_to_dot, reduced_graph, reduced_graph_to_dot, union
 from .eigenstructure import (
     ConstructionFailedError,
     critical_classes,
@@ -42,18 +35,8 @@ from .eigenstructure import (
     rho_ambiguous,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy
-from .pencil import (
-    Pencil,
-    ValidationFailedError,
-    ValidationReport,
-    classify_at,
-    m_trichotomy,
-    partition,
-    spectral_summary,
-    thresholds,
-    validate,
-    zs_bound,
-)
+from .pencil import (Pencil, ValidationFailedError, ValidationReport, classify_at, m_trichotomy,
+                     partition, spectral_summary, thresholds, validate, zs_bound)
 from .zmatrix import EnumerationLimitError
 
 __all__ = ["PencilFormatError", "parse_pencil", "format_pencil", "build_report", "main"]
@@ -290,11 +273,7 @@ def build_report(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     part = partition(p, tbl, tol)
     crit = critical_classes(p, summary, tol)
     basis = pencil_eigenbasis(p, crit, tol)
-    if crit.name == "union":
-        union_classes = crit.partition
-    else:
-        union_classes = classes(union(crit.graph, digraph_of(p.B, tol)))
-    bounds = zs_bound(p, tbl, union_classes, tol)
+    bounds = zs_bound(p, tbl, crit.union_classes, tol)
     return {
         "validation": _validation_dict(report),
         "mu": float(summary.mu),

@@ -18,17 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zmatrix
-from .digraph import ClassPartition, Digraph, access_set, digraph_of, reduced_graph, union
-from .linalg import (
-    DEFAULT_TOL,
-    TolerancePolicy,
-    as_square,
-    inf_norm,
-    is_singular,
-    perron_vector,
-    submatrix,
-)
-from .pencil import Pencil, SpectralSummary, ValidationFailedError, validate
+from .digraph import (ClassPartition, Digraph, access_set, classes, digraph_of,
+                      reduced_graph, union)
+from .linalg import (DEFAULT_TOL, TolerancePolicy, as_square, inf_norm, is_singular,
+                     perron_vector, submatrix)
+from .pencil import Pencil, SpectralSummary, ValidationFailedError, m_trichotomy, validate
 from .zmatrix import MStatus
 
 __all__ = [
@@ -179,22 +173,19 @@ def m_nullbasis(X, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[EigenBasisVector
 
 @dataclass(frozen=True, eq=False)
 class CriticalClasses:
-    """The classes of ``graph``, labelled against ``rho_ab*B - A``.
+    """The classes of ``graph``, labelled against the matrix at the
+    critical value, and ``union_classes``, those of ``G(A) union G(B)``.
 
-    ``graph`` carries classes and access at the critical value: ``name``
-    ``"union"`` is ``G(A) union G(B)``, and ``"a"`` is ``G(A)``, used when
-    ``rho_ab`` is numerically zero, since ``rho_ab*B - A`` is then ``-A``.
+    ``name`` ``"union"``: ``graph`` is the union, labelled against
+    ``rho_ab*B - A``.  ``"a"``: ``graph`` is ``G(A)``, labelled against
+    ``-A``, which is ``rho_ab*B - A`` when ``rho_ab`` is numerically zero.
     """
 
     rho_ab: float
     name: str
     graph: Digraph
     labels: tuple[ClassLabel, ...]
-
-    @property
-    def partition(self) -> ClassPartition:
-        """The classes of ``graph`` in order, as ``labels`` lists them."""
-        return ClassPartition(tuple(lab.vertices for lab in self.labels))
+    union_classes: ClassPartition
 
 
 def critical_classes(
@@ -202,15 +193,21 @@ def critical_classes(
     summary: SpectralSummary,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> CriticalClasses:
-    """The digraph at the critical value of ``summary`` and its labelled
-    classes; the one place the digraph rule is decided."""
+    """The digraph at the critical value of ``summary``, the matrix its
+    classes are labelled against, and the union classes; the one place
+    these are decided.  The ``G(A)`` branch is taken when
+    ``rho_ab <= tol.rel_sing`` and ``-A`` is an M-matrix (the t = 0 rule
+    of :func:`~zpencil.pencil.m_trichotomy`), so its labelling cannot fail.
+    """
     rho = summary.rho_ab
-    if rho > tol.rel_sing:
-        name, graph = "union", union(digraph_of(p.A, tol), digraph_of(p.B, tol))
-    else:
-        name, graph = "a", digraph_of(p.A, tol)
-    labels = class_labels(rho * p.B - p.A, graph, tol)
-    return CriticalClasses(rho_ab=rho, name=name, graph=graph, labels=labels)
+    graph_a = digraph_of(p.A, tol)
+    graph_u = union(graph_a, digraph_of(p.B, tol))
+    if rho <= tol.rel_sing and m_trichotomy(p, 0.0, tol) is not MStatus.NOT_M:
+        labels = class_labels(-p.A, graph_a, tol)
+        return CriticalClasses(rho, "a", graph_a, labels, classes(graph_u))
+    labels = class_labels(rho * p.B - p.A, graph_u, tol)
+    return CriticalClasses(rho, "union", graph_u, labels,
+                           ClassPartition(tuple(lab.vertices for lab in labels)))
 
 
 def _transform(G: np.ndarray, A: np.ndarray, u: np.ndarray,

@@ -472,9 +472,11 @@ def classify_at(
 ) -> int:
     """Class index of ``t*B - A`` read off the threshold table.
 
-    Returns the largest s with ``tau_s <= t`` (up to the tolerance band
-    ``delta = tol.rel_sing * max(1, t)``), so coincident thresholds make
-    the higher class win and the intermediate classes are skipped.
+    Returns the largest s with ``tau_s <= t + delta``, where the band is
+    ``delta = tol.rel_sing * max(1, t)``, so coincident thresholds make
+    the higher class win.  For ``t > delta`` that is the ``s`` of the
+    :func:`partition` segment holding ``min(t + delta, 1)``, which may lie
+    one segment above the one holding t.
 
     For ``t <= delta`` the class is that of ``-A``, which may jump at 0
     unseen by the thresholds: 0 when ``G(A)`` has a loop, else
@@ -528,7 +530,9 @@ def partition(
 
     Classes whose interval would be empty (coincident thresholds, within
     ``tol.rel_sing``) are omitted; each kept segment is closed at its left
-    threshold, and the final segment is closed at 1.
+    threshold, and the final segment is closed at 1.  Inside the band
+    ``delta`` of :func:`classify_at` a t may lie one segment below its
+    class: :func:`classify_at` reads the partition at ``t + delta``.
     """
     coincide = tol.rel_sing
     cuts = [0.0]

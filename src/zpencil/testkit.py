@@ -32,6 +32,9 @@ __all__ = [
     "GenConfig",
     "PencilSpectrum",
     "gen_pencil",
+    "permuted",
+    "transposed",
+    "scaled",
     "oracle_pencil_eigs",
     "rho_s",
     "oracle_classify",
@@ -88,6 +91,22 @@ def gen_pencil(cfg: GenConfig) -> Pencil:
     np.fill_diagonal(N, 0.0)
     M = np.diag(N.sum(axis=1) + cfg.dominance_slack) - N
     return Pencil(A=A, B=A + M)
+
+
+def permuted(p: Pencil, perm) -> Pencil:
+    """The pencil whose vertex ``i + 1`` is vertex ``perm[i] + 1`` of ``p``."""
+    rows = np.ix_(perm, perm)
+    return Pencil(A=p.A[rows], B=p.B[rows])
+
+
+def transposed(p: Pencil) -> Pencil:
+    """``(A^T, B^T)``: every ``tau_J`` is kept and every edge reversed."""
+    return Pencil(A=p.A.T, B=p.B.T)
+
+
+def scaled(p: Pencil, c: float) -> Pencil:
+    """``(c*A, c*B)``; for ``c > 0`` every ``tau_J`` is kept."""
+    return Pencil(A=c * p.A, B=c * p.B)
 
 
 def _parity(perm: tuple[int, ...]) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from zpencil.cli import (
 )
 from zpencil.eigenstructure import ConstructionFailedError
 from zpencil.pencil import Pencil
+from zpencil.testkit import GenConfig, gen_pencil
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -69,6 +71,24 @@ class TestParsePencil:
     def test_json_shape_mismatch(self):
         with pytest.raises(PencilFormatError):
             parse_pencil('{"n": 2, "A": [[1]], "B": [[1]]}')
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = 0\nA:\n", "line 1: n must be at least 1"),
+        ("n = 1\n1\n", "line 2: expected 'A:' or 'B:' before matrix rows"),
+        ("n = 1\nA:\n0\n0\nB:\n1\n", "line 4: too many rows for matrix A"),
+        ("n = 1\nA:\nx\nB:\n1\n",
+         "line 3: bad number in row: could not convert string to float: 'x'"),
+        ("", "empty input: no 'n = <int>' line"),
+        ("# a comment, nothing else\n", "empty input: no 'n = <int>' line"),
+        ('{"n": 1, "A": [[0]], ',
+         "line 1: bad JSON: Expecting property name enclosed in double quotes"),
+        ('{"n": 1, "B": [[1]]}', "bad JSON pencil: 'A'"),
+    ])
+    def test_format_error_exits_2_with_its_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.pencil"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_format_roundtrip(self, ex2):
         assert np.array_equal(parse_pencil(format_pencil(ex2)).A, ex2.A)
@@ -267,6 +287,64 @@ class TestReport:
         assert not payload["validation"]["c3_holds"]
 
 
+_FLOAT = re.compile(r"(-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+)")
+
+
+def assert_same_text(got, want):
+    """Equal text, except that floats agree within 1e-12 relative plus
+    1e-15 absolute."""
+    got_parts, want_parts = _FLOAT.split(got), _FLOAT.split(want)
+    assert len(got_parts) == len(want_parts), f"{got!r} vs {want!r}"
+    for i, (g, w) in enumerate(zip(got_parts, want_parts)):
+        if i % 2:
+            assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w)) + 1e-15, (g, w)
+        else:
+            assert g == w, f"{got!r} vs {want!r}"
+
+
+class TestViews:
+    """Each view of the sample files against ``data/golden/<name>.views.txt``,
+    where every ``$ zpencil <command> <options>`` line is followed by the
+    output of that command on ``<name>.pencil``."""
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_views(self, capsys, name):
+        text = (DATA_DIR / "golden" / f"{name}.views.txt").read_text(encoding="utf-8")
+        blocks = text.split("$ zpencil ")[1:]
+        assert len(blocks) == 7
+        for block in blocks:
+            command, want = block.split("\n", 1)
+            argv = command.split()
+            assert main([argv[0], str(DATA_DIR / f"{name}.pencil"), *argv[1:]]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert_same_text(out, want)
+
+    def test_report_refusal_human(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pencil"
+        bad.write_text("n = 2\nA:\n0 1\n0 0\nB:\n0 1\n0 0\n")
+        assert main(["report", str(bad)]) == 1
+        assert capsys.readouterr() == (
+            "condition 1 (A >= 0):                ok\n"
+            "condition 2 (off-diagonal B <= A):   ok\n"
+            "condition 3 (B - A nonsingular M):   FAIL\n"
+            "  violation of (3): no positive u with (B - A) u > 0 found; "
+            "B - A is not a nonsingular M-matrix\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["report", "--json"], ["classes"], ["eigvecs", "--json"],
+    ])
+    def test_ambiguity_warning(self, tmp_path, capsys, argv):
+        # desk-mix seed 2, input 303: rho_ab = 2.1e-11, within 10 rel_sing
+        p = gen_pencil(GenConfig(7, (2, 302), 0.05, 1e-6, 0.1))
+        path = tmp_path / "p.pencil"
+        path.write_text(format_pencil(p))
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        assert capsys.readouterr().err == (
+            "warning: rho_ab is within 10x the singularity tolerance of zero; "
+            "the digraph choice is ambiguous\n")
+
+
 class TestGoldenPartitionsAsData:
     """The three example files reproduce the displayed partitions verbatim
     as structured data."""
@@ -369,9 +447,9 @@ class TestOneStepPerReport:
 
     @pytest.mark.parametrize("name, gamma", [("ex2", "union"), ("ex3", "a")])
     def test_one_union_digraph(self, request, monkeypatch, name, gamma):
-        # ex2 reads the union and its classes from the critical classes;
-        # ex3 (rho_ab = 0) labels G(A), so the bounds join it with G(B)
-        # and partition the union themselves.
+        # critical_classes builds the union once on both branches.  ex2
+        # reads the union classes off its labels; ex3 (rho_ab = 0) labels
+        # G(A), so the union is partitioned once more for the bounds.
         made = dict.fromkeys(("union", "digraph_of", "classes"), 0)
 
         def counting(fn, real):

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
 import zpencil.eigenstructure
-from zpencil.cli import main
+from zpencil.cli import build_report, format_pencil, main
 from zpencil.digraph import classes, digraph_of, union
 from zpencil.eigenstructure import (
     ConstructionFailedError,
@@ -20,12 +21,6 @@ from zpencil.eigenstructure import (
 from zpencil.linalg import DEFAULT_TOL, inf_norm
 from zpencil.pencil import Pencil, spectral_summary
 from zpencil.testkit import GenConfig, gen_pencil
-
-
-def critical_graph(p, rho, tol=DEFAULT_TOL):
-    if rho > tol.rel_sing:
-        return union(digraph_of(p.A, tol), digraph_of(p.B, tol))
-    return digraph_of(p.A, tol)
 
 
 class TestClassLabels:
@@ -124,6 +119,44 @@ class TestPencilEigenbasis:
         assert [v.origin_class for v in vecs] == [
             lab.vertices for lab in crit.labels if lab.is_distinguished]
 
+    def test_g_a_branch_labels_minus_a(self):
+        # desk-mix seed 2, input 303: rho_ab = 2.1e-11 is noise on an exact
+        # zero, and blocks of rho_ab*B - A that should vanish do not
+        p = gen_pencil(GenConfig(7, (2, 302), 0.05, 1e-6, 0.1))
+        crit = critical_classes(p, spectral_summary(p))
+        assert crit.name == "a"
+        assert crit.labels == class_labels(-p.A, digraph_of(p.A))
+        assert pencil_eigenbasis(p, crit)
+
+    def test_acyclic_a_with_noisy_rho_reports(self, tmp_path, capsys):
+        # desk-mix seed 6, input 146: rho_ab = 1.05e-16 used to make a
+        # nonsingular class distinguished, and report exited 3
+        path = tmp_path / "p.pencil"
+        path.write_text(format_pencil(gen_pencil(GenConfig(4, (6, 145), 0.2, 1e3, 1e-5))))
+        assert main(["report", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["eigenbasis"]
+
+    def test_g_a_branch_needs_minus_a_to_be_an_m_matrix(self):
+        # rho_ab = 1e-10 is below rel_sing, but G(A) has a loop, so -A is
+        # no M-matrix and class_labels(-A) would raise NotMMatrixError
+        p = Pencil(A=np.array([[1e-4]]), B=np.array([[1e6]]))
+        crit = critical_classes(p, spectral_summary(p))
+        assert crit.rho_ab <= DEFAULT_TOL.rel_sing
+        assert crit.name == "union"
+        assert build_report(p)["eigenbasis"] == [
+            {"origin_class": [1], "support": [1], "values": [1.0]}]
+
+    def test_union_classes_on_both_branches(self):
+        configs = [GenConfig(n, 40 + seed, d, magnitude)
+                   for n in (2, 4, 6) for seed, d in enumerate((0.05, 0.2, 0.5))
+                   for magnitude in (1e-6, 1.0)]
+        names = set()
+        for p in map(gen_pencil, configs):
+            crit = critical_classes(p, spectral_summary(p))
+            names.add(crit.name)
+            assert crit.union_classes == classes(union(digraph_of(p.A), digraph_of(p.B)))
+        assert names == {"a", "union"}
+
     def test_rho_ambiguity_flag(self, ex3):
         summary = spectral_summary(ex3)
         assert not rho_ambiguous(summary.rho_ab)
@@ -185,7 +218,6 @@ class TestRandomPencilProperties:
         for cfg in self.CONFIGS:
             p = gen_pencil(cfg)
             summary = spectral_summary(p)
-            gamma = critical_graph(p, summary.rho_ab)
             for vec in pencil_eigenbasis(p, critical_classes(p, summary)):
                 positive = tuple(
                     int(i) + 1 for i in np.nonzero(vec.x > 1e-10)[0]
@@ -239,6 +271,5 @@ class TestRandomPencilProperties:
             summary = spectral_summary(p)
             if not DEFAULT_TOL.rel_sing < summary.rho_ab < 1.0:
                 continue
-            gamma = critical_graph(p, summary.rho_ab)
             member = digraph_of(summary.rho_ab * p.B - p.A)
-            assert classes(member) == classes(gamma)
+            assert classes(member) == classes(critical_classes(p, summary).graph)

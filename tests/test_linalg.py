@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zpencil.linalg import (
     DEFAULT_TOL,
@@ -321,11 +319,12 @@ class TestIsSingular:
         assert is_singular(X)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
-def test_inf_norm_matches_numpy(n, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, n))
-    assert inf_norm(X) == pytest.approx(np.linalg.norm(X, np.inf))
-    v = rng.normal(size=n)
-    assert inf_norm(v) == pytest.approx(np.linalg.norm(v, np.inf))
+def test_inf_norm_matches_numpy():
+    cases = np.random.default_rng(325)
+    for _ in range(50):
+        n, seed = int(cases.integers(1, 7)), int(cases.integers(0, 10_001))
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, n))
+        assert inf_norm(X) == pytest.approx(np.linalg.norm(X, np.inf))
+        v = rng.normal(size=n)
+        assert inf_norm(v) == pytest.approx(np.linalg.norm(v, np.inf))

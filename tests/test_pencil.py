@@ -697,6 +697,31 @@ class TestTrichotomyConsistency:
                         compared += 1
         assert compared >= 100 * 17
 
+    def test_classify_at_reads_the_partition_at_the_top_of_the_band(
+            self, ex1, ex2, ex3):
+        # For t > delta, classify_at(t) is the s of the segment that holds
+        # min(t + delta, 1); the segment that holds t itself may differ.
+        def segment_at(part, x):
+            return next(seg.s for seg in part.segments
+                        if seg.lo <= x < seg.hi or (seg.hi_closed and x == seg.hi))
+
+        compared = at_t_differs = 0
+        for p in itertools.chain([ex1, ex2, ex3], _magnitude_grid()):
+            tbl = thresholds(p)
+            part = partition(p, tbl)
+            ts = [k / 10 for k in range(1, 11)]
+            ts += [tbl.rho_ab * (1.0 + f) for f in (-1e-6, 1e-6, -1e-8, 1e-8)]
+            ts += [tau * (1.0 + f) for tau in tbl.tau[1:] for f in (-1e-8, 0.0, 1e-8)]
+            for t in ts:
+                delta = DEFAULT_TOL.rel_sing * max(1.0, t)
+                if not delta < t <= 1.0:
+                    continue
+                s = classify_at(p, t, tbl)
+                assert s == segment_at(part, min(t + delta, 1.0)), (p.n, t)
+                at_t_differs += s != segment_at(part, t)
+                compared += 1
+        assert compared >= 3000 and at_t_differs > 0
+
 
 class TestEnumerationGuard:
     def test_thresholds_guarded_above_sixteen(self):
