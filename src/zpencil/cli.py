@@ -124,14 +124,16 @@ def _parse_json_pencil(text: str) -> Pencil:
             f"bad JSON pencil: n must be an integer of at least 1, "
             f"got {json.dumps(n)}")
     for name in ("A", "B"):  # numpy would read true and "1" as 1.0
-        rows = payload.get(name)
+        if name not in payload:
+            raise PencilFormatError(f"bad JSON pencil: missing matrix {name}")
+        rows = payload[name]
         if isinstance(rows, list) and any(type(v) not in (int, float) for row in rows
                                           if isinstance(row, list) for v in row):
             raise PencilFormatError(f"bad JSON pencil: {name} has an entry that is not a number")
     try:
         A = np.array(payload["A"], dtype=float)
         B = np.array(payload["B"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise PencilFormatError(f"bad JSON pencil: {exc}") from None
     if A.shape != (n, n) or B.shape != (n, n):
         raise PencilFormatError(
@@ -412,8 +414,8 @@ def cmd_classes(p: Pencil, args, tol: TolerancePolicy) -> int:
     if args.json:
         _print_json({"gamma": crit.name, "classes": labels})
         return 0
-    print(f"classes of {'G(A) union G(B)' if crit.name == 'union' else 'G(A)'} "
-          f"against rho_ab*B - A:")
+    print("classes of G(A) union G(B) against rho_ab*B - A:" if crit.name == "union"
+          else "classes of G(A) against -A:")
     for i, label in enumerate(labels, start=1):
         _print_class_line(i, label)
     return 0

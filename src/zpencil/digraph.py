@@ -1,8 +1,8 @@
 """Digraphs of matrices, classes (strongly connected components), reduced
 graphs carrying the access relation, and DOT export.
 
-Every question asked of a digraph here is a question about reachability,
-so each :class:`Digraph` carries one reachability closure,
+A :class:`Digraph` is its successor bitmasks, and every question asked of
+it is answered on them: its girth, and reachability through one closure,
 :attr:`Digraph.reach`, built once and cached.  Classes are sets of
 mutually reachable vertices, the reduced graph is reach between class
 representatives, and an access set is the vertices whose reach meets it.
@@ -14,6 +14,7 @@ CLI output.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -38,56 +39,88 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph on vertices ``1..n``; loops allowed, no multi-edges."""
+    """Directed graph on vertices ``1..n``; loops allowed, no multi-edges.
+
+    Held as successor bitmasks: bit ``w - 1`` of ``rows[v - 1]`` marks the
+    edge (v, w).  The rows are Python ints, so ``n`` is not capped.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("digraph needs at least one vertex")
-        edges = frozenset((int(j), int(k)) for j, k in self.edges)
-        object.__setattr__(self, "edges", edges)
+        rows = tuple(map(operator.index, self.rows))
+        # a negative row has a bit at every position
+        if len(rows) != self.n or any(r >> self.n for r in rows):
+            raise ValueError(f"need {self.n} rows, each below 2**{self.n}")
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
+        """The digraph on ``1..n`` with the given 1-based edges."""
+        rows = [0] * n
         for j, k in edges:
-            if not (1 <= j <= self.n and 1 <= k <= self.n):
-                raise ValueError(f"edge ({j},{k}) out of range 1..{self.n}")
+            if not (1 <= j <= n and 1 <= k <= n):
+                raise ValueError(f"edge ({j},{k}) out of range 1..{n}")
+            rows[j - 1] |= 1 << (int(k) - 1)
+        return cls(n, tuple(rows))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges (v, w), 1-based."""
+        return frozenset((v + 1, w + 1) for v, r in enumerate(self.rows)
+                         for w in _bits(r))
 
     @cached_property
     def reach(self) -> tuple[int, ...]:
         """Reachability closure: bit ``w - 1`` of ``reach[v - 1]`` is set
         when a path of length zero or more runs from v to w, so every
-        vertex reaches itself.
-
-        Warshall's algorithm on Python-int bitmask rows: once vertex v is
-        allowed as an intermediate, every row that reaches v takes v's row.
-        Built once per digraph; :func:`classes`, :func:`reduced_graph` and
-        :func:`access_set` all read it.
-        """
-        rows = [1 << v for v in range(self.n)]
-        for j, k in self.edges:
-            rows[j - 1] |= 1 << (k - 1)
+        vertex reaches itself.  Warshall's algorithm on the rows: once
+        vertex v is allowed as an intermediate, every row that reaches v
+        takes v's row."""
+        rows = [r | 1 << v for v, r in enumerate(self.rows)]
         for v in range(self.n):
             bit, via = 1 << v, rows[v]
             rows = [r | via if r & bit else r for r in rows]
         return tuple(rows)
+
+    @cached_property
+    def girth(self) -> int:
+        """Length of a shortest cycle (a loop has length 1), ``n + 1`` if
+        there is none.  A breadth-first search from v, with the vertices
+        below v already seen, finds the shortest cycle whose least vertex
+        is v."""
+        girth = self.n + 1
+        for v in range(self.n):
+            frontier, seen, length = 1 << v, (2 << v) - 1, 0
+            while frontier and length + 1 < girth:
+                length += 1
+                step = 0
+                for w in _bits(frontier):
+                    step |= self.rows[w]
+                if step >> v & 1:
+                    girth = length
+                frontier = step & ~seen
+                seen |= step
+        return girth
 
 
 def digraph_of(X, tol: TolerancePolicy = DEFAULT_TOL) -> Digraph:
     """Digraph of a square matrix: edge (j, k) wherever ``|x_jk|`` exceeds
     the absolute floor (loops included)."""
     m = as_square(X)
-    rows, cols = np.nonzero(np.abs(m) > tol.abs_floor)
-    return Digraph(
-        m.shape[0],
-        frozenset(zip((rows + 1).tolist(), (cols + 1).tolist())),
-    )
+    packed = np.packbits(np.abs(m) > tol.abs_floor, axis=1, bitorder="little")
+    return Digraph(m.shape[0], tuple(int.from_bytes(row.tobytes(), "little")
+                                     for row in packed))
 
 
 def union(g1: Digraph, g2: Digraph) -> Digraph:
     """Edge-set union of two digraphs on the same vertex set."""
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
-    return Digraph(g1.n, g1.edges | g2.edges)
+    return Digraph(g1.n, tuple(a | b for a, b in zip(g1.rows, g2.rows)))
 
 
 @dataclass(frozen=True)
@@ -106,10 +139,6 @@ class ClassPartition:
             seen |= set(c)
         if seen != set(range(1, len(seen) + 1)):
             raise ValueError("classes must cover 1..n exactly")
-
-    @cached_property
-    def n(self) -> int:
-        return sum(len(c) for c in self.classes)
 
     @cached_property
     def vertex_to_class(self) -> dict[int, int]:

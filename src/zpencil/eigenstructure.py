@@ -22,7 +22,7 @@ from .digraph import (ClassPartition, Digraph, access_set, classes, digraph_of,
                       reduced_graph, union)
 from .linalg import (DEFAULT_TOL, TolerancePolicy, as_square, inf_norm, is_singular,
                      perron_vector, submatrix)
-from .pencil import Pencil, SpectralSummary, ValidationFailedError, m_trichotomy, validate
+from .pencil import Pencil, SpectralSummary, ValidationFailedError, validate
 from .zmatrix import MStatus
 
 __all__ = [
@@ -196,13 +196,13 @@ def critical_classes(
     """The digraph at the critical value of ``summary``, the matrix its
     classes are labelled against, and the union classes; the one place
     these are decided.  The ``G(A)`` branch is taken when
-    ``rho_ab <= tol.rel_sing`` and ``-A`` is an M-matrix (the t = 0 rule
-    of :func:`~zpencil.pencil.m_trichotomy`), so its labelling cannot fail.
+    ``rho_ab <= tol.rel_sing`` and ``-A`` is an M-matrix, that is when
+    ``G(A)`` has no cycle, loops included, so its labelling cannot fail.
     """
     rho = summary.rho_ab
     graph_a = digraph_of(p.A, tol)
     graph_u = union(graph_a, digraph_of(p.B, tol))
-    if rho <= tol.rel_sing and m_trichotomy(p, 0.0, tol) is not MStatus.NOT_M:
+    if rho <= tol.rel_sing and graph_a.girth > p.n:
         labels = class_labels(-p.A, graph_a, tol)
         return CriticalClasses(rho, "a", graph_a, labels, classes(graph_u))
     labels = class_labels(rho * p.B - p.A, graph_u, tol)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, zmatrix
-from .digraph import ClassPartition, _bits
-from .linalg import DEFAULT_TOL, TolerancePolicy, as_square, submatrix
+from .digraph import ClassPartition, digraph_of
+from .linalg import DEFAULT_TOL, TolerancePolicy, as_square
 from .zmatrix import MAX_ENUMERATION_ORDER, MStatus
 
 __all__ = [
@@ -152,11 +152,10 @@ def validate(p: Pencil, tol: TolerancePolicy = DEFAULT_TOL) -> ValidationReport:
                       f"{diff[i, j]:.6g} is positive")
         )
 
-    # A Z-matrix must pass the M-test first; otherwise the test is
-    # inapplicable and a positive solution of (B-A)u = 1 alone decides.
+    # c2 makes B - A a Z-matrix, which must pass the M-test first; without
+    # c2 the test is inapplicable and a positive solution of (B-A)u = 1 decides.
     witness: np.ndarray | None = None
-    if (not zmatrix.is_z_matrix(diff, tol)
-            or zmatrix.m_status(diff, tol) is MStatus.NONSINGULAR_M):
+    if not c2 or zmatrix.m_status(diff, tol) is MStatus.NONSINGULAR_M:
         try:
             u = linalg.solve(diff, np.ones(n), tol)
         except linalg.SingularMatrixError:
@@ -377,33 +376,21 @@ def thresholds(
     monotone in J: a proper subset can sit up to 2.5 times nearer the band
     than M on the generator grids of the tests, none of them reaching it.)
 
-    The sweep visits all 2^n - 1 nonempty index sets, one size at a time:
-    the k sets of size s, in lexicographic order, are gathered by one
-    ``np.take`` and go through one stacked ``np.linalg.solve`` for
-    ``C_J = (B_J - A_J)^{-1} A_J`` and stacked ``np.linalg.eigvals``,
-    which give each set the same value as a solve and an eigenvalue call
-    of its own.  Memory holds one size at a time.
+    The sweep visits all 2^n - 1 nonempty index sets a size at a time, in
+    lexicographic order: one ``np.take`` gathers the sets of a size, and a
+    stacked ``np.linalg.solve`` for ``C_J = (B_J - A_J)^{-1} A_J`` and a
+    stacked ``np.linalg.eigvals`` give each set the value calls of its own
+    would.  Memory holds one size at a time.
 
-    A size with at least 90 sets is screened, then confirmed.  Two
-    batched power steps on ``P = |C_J|`` give a positive x and the
-    Collatz–Wielandt bounds ``min_i (Px)_i/x_i <= rho(P)`` and
-    ``upper = max_i (Px)_i/x_i + delta`` for every set, where the margin
-    ``delta = 32 s eps ||C_J||_F max(x) / min(x)`` covers the backward
-    error of ``geev`` in the ``diag(x)``-weighted infinity norm, so
-    ``upper`` bounds what eigvals returns even for a defective or tied top
-    eigenvalue (the argument is in ``_perron_bounds``).  The set with the
-    best lower bound gets eigvals first; its value is the incumbent.  Then
-    eigvals runs only on the sets whose upper bound reaches the incumbent's
-    band floor ``incumbent - (tol.rel_sing*|incumbent| + tol.abs_floor)``.
-    That floor grows with the value, so every set within the band of
-    ``sigma_s`` is confirmed, and ``sigma``, ``tau`` and ``argmax_sets``
-    are exactly those of the full sweep.  If a confirmed value exceeds its
-    upper bound, the whole size is evaluated.  Below 90 sets (so at every
-    size of order <= 8) the bounds save too little, if anything, and
-    eigvals runs on every set.  At order 14, density 0.5, 41-48 of the
-    16,383 sets get eigvals on the benchmark's pencils
-    (``ThresholdTable.confirmed``), and the sweep takes a fifth to a third
-    of the time of the full one.
+    A size with at least 90 sets (none of order <= 8) is screened first
+    (``_screened_perron``): two batched power steps on ``|C_J|`` give
+    every set Collatz–Wielandt bounds on its value, the upper one widened
+    to bound what eigvals returns (``_perron_bounds``), and eigvals runs
+    only on the sets whose upper bound reaches the band floor of the best
+    lower-bound set's value.  Every set within the band of ``sigma_s`` is
+    among them, so ``sigma``, ``tau`` and ``argmax_sets`` are exactly those
+    of the full sweep.  At order 14, density 0.5, 41-48 of the 16,383 sets
+    get eigvals on the benchmark's pencils (``ThresholdTable.confirmed``).
 
     Raises :class:`~zpencil.zmatrix.EnumerationLimitError` when
     ``n > max_order``; library callers lift the guard by passing a larger
@@ -442,28 +429,6 @@ def _band(t: float, tol: TolerancePolicy) -> tuple[float, float]:
     return t, delta
 
 
-def _class_at_zero(p: Pencil, tol: TolerancePolicy) -> int:
-    # -A_J is an M-matrix iff A_J has a zero diagonal and G(A_J) is acyclic,
-    # so the class of -A is girth(G(A)) - 1 (a loop has length 1), capped at
-    # n.  A breadth-first search from v, with the vertices below v already
-    # seen, finds the shortest cycle whose least vertex is v.
-    succ = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in np.abs(p.A) > tol.abs_floor]
-    girth = p.n + 1
-    for v in range(p.n):
-        frontier, seen, length = 1 << v, (2 << v) - 1, 0
-        while frontier and length + 1 < girth:
-            length += 1
-            step = 0
-            for w in _bits(frontier):
-                step |= succ[w]
-            if step >> v & 1:
-                girth = length
-            frontier = step & ~seen
-            seen |= step
-    return girth - 1
-
-
 def classify_at(
     p: Pencil,
     t: float,
@@ -479,12 +444,14 @@ def classify_at(
     one segment above the one holding t.
 
     For ``t <= delta`` the class is that of ``-A``, which may jump at 0
-    unseen by the thresholds: 0 when ``G(A)`` has a loop, else
-    ``min(n, girth - 1)``, from one breadth-first search per vertex.
+    unseen by the thresholds.  ``-A_J`` is an M-matrix exactly when
+    ``G(A_J)`` has no cycle, loops included, so the class is
+    ``min(n, girth - 1)`` for the :attr:`~zpencil.digraph.Digraph.girth`
+    of ``G(A)``: 0 when ``G(A)`` has a loop.
     """
     t, delta = _band(t, tol)
     if t <= delta:
-        return _class_at_zero(p, tol)
+        return min(p.n, digraph_of(p.A, tol).girth - 1)
     s = 0
     for k in range(1, tbl.n + 1):
         if tbl.tau[k] <= t + delta:
@@ -566,12 +533,13 @@ def m_trichotomy(p: Pencil, t: float, tol: TolerancePolicy = DEFAULT_TOL) -> MSt
     exactly when ``classify_at(t) < n``), SingularM within ``delta`` of
     ``rho_ab`` and NonsingularM above.  At t = 1 it is NonsingularM, the
     ``B - A`` that :func:`validate` certified.  For ``t <= delta`` it is
-    SingularM when :func:`classify_at`'s class of ``-A`` is n, else NotM.
+    SingularM when :func:`classify_at`'s class of ``-A`` is n, that is when
+    ``G(A)`` has no cycle, else NotM.
     """
     t, delta = _band(t, tol)
     _require_valid(p, tol)
     if t <= delta:
-        return MStatus.SINGULAR_M if _class_at_zero(p, tol) == p.n else MStatus.NOT_M
+        return MStatus.SINGULAR_M if digraph_of(p.A, tol).girth > p.n else MStatus.NOT_M
     if t >= 1.0:
         return MStatus.NONSINGULAR_M
     if tol not in p._rho_ab:  # one spectral summary per pencil, not per t
@@ -602,27 +570,17 @@ def zs_bound(
     """Bounds from classes of the union digraph whose subpencil attains
     the critical value.
 
-    For each class J of ``part`` whose subpencil threshold equals
-    ``rho_ab`` (within ``tol.rel_eig``): the bound is ``s <= n - 1`` when
-    J is the whole vertex set, else ``s <= |J| - 1``.  Classes not
-    attaining the critical value are omitted.
+    For each class J of ``part`` whose subpencil threshold, from the value
+    :func:`thresholds` gives the set J, equals ``rho_ab`` (within
+    ``tol.rel_eig``): the bound is ``s <= |J| - 1``, which is ``n - 1``
+    when J is the whole vertex set.  Classes not attaining the critical
+    value are omitted.
     """
     _require_valid(p, tol)
-    rho = tbl.rho_ab
-    M = p.B - p.A
+    MA = np.stack((p.B - p.A, p.A))
     out: list[CriticalClassBound] = []
     for cls in part.classes:
-        # No pivot test: validate certifies every (B - A)_K (see thresholds).
-        AK = submatrix(p.A, cls)
-        mu = float(_perron_of_transform(np.linalg.solve(submatrix(M, cls), AK)))
-        tau_cls = mu / (1.0 + mu)
-        if abs(tau_cls - rho) <= tol.rel_eig:
-            m = len(cls)
-            out.append(
-                CriticalClassBound(
-                    vertices=cls,
-                    m=m,
-                    s_upper=p.n - 1 if m == p.n else m - 1,
-                )
-            )
+        mu = float(_size_values(MA, np.array([cls]) - 1, tol)[0][0])
+        if abs(mu / (1.0 + mu) - tbl.rho_ab) <= tol.rel_eig:
+            out.append(CriticalClassBound(vertices=cls, m=len(cls), s_upper=len(cls) - 1))
     return tuple(out)

@@ -35,6 +35,7 @@ __all__ = [
     "permuted",
     "transposed",
     "scaled",
+    "direct_sum",
     "oracle_pencil_eigs",
     "rho_s",
     "oracle_classify",
@@ -107,6 +108,14 @@ def transposed(p: Pencil) -> Pencil:
 def scaled(p: Pencil, c: float) -> Pencil:
     """``(c*A, c*B)``; for ``c > 0`` every ``tau_J`` is kept."""
     return Pencil(A=c * p.A, B=c * p.B)
+
+
+def direct_sum(p: Pencil, q: Pencil) -> Pencil:
+    """``(diag(A_p, A_q), diag(B_p, B_q))``: the vertices of ``q`` follow
+    those of ``p``, and no edge joins the two."""
+    zero = np.zeros((p.n, q.n))
+    return Pencil(A=np.block([[p.A, zero], [zero.T, q.A]]),
+                  B=np.block([[p.B, zero], [zero.T, q.B]]))
 
 
 def _parity(perm: tuple[int, ...]) -> int:

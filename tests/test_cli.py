@@ -82,7 +82,7 @@ class TestParsePencil:
         ("# a comment, nothing else\n", "empty input: no 'n = <int>' line"),
         ('{"n": 1, "A": [[0]], ',
          "line 1: bad JSON: Expecting property name enclosed in double quotes"),
-        ('{"n": 1, "B": [[1]]}', "bad JSON pencil: 'A'"),
+        ('{"n": 1, "B": [[1]]}', "bad JSON pencil: missing matrix A"),
     ])
     def test_format_error_exits_2_with_its_message(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.pencil"
@@ -211,6 +211,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "C1 = {2,4}  singular distinguished" in out
         assert "C2 = {1,3}  nonsingular" in out
+
+    def test_classes_on_g_a_are_labelled_against_minus_a(self, data_dir, capsys):
+        # ex3 has rho_ab = 0 and an acyclic G(A), so its classes are those
+        # of G(A), labelled against -A
+        assert main(["classes", str(data_dir / "ex3.pencil")]) == 0
+        assert capsys.readouterr().out == (
+            "classes of G(A) against -A:\n"
+            "  C1 = {1}  singular distinguished\n"
+            "  C2 = {2}  singular\n")
 
     def test_graph_union_dot(self, data_dir, capsys):
         assert main(["graph", str(data_dir / "ex3.pencil")]) == 0

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from zpencil.digraph import (
     reduced_graph_to_dot,
     union,
 )
+from zpencil.linalg import DEFAULT_TOL
 from zpencil.testkit import GenConfig, gen_pencil
 
 
 def cycle(n: int) -> Digraph:
-    return Digraph(n, frozenset((v, v % n + 1) for v in range(1, n + 1)))
+    return Digraph.from_edges(n, ((v, v % n + 1) for v in range(1, n + 1)))
 
 
 class TestDigraphOf:
@@ -39,13 +41,13 @@ class TestDigraphOf:
 
     def test_edge_range_checked(self):
         with pytest.raises(ValueError):
-            Digraph(2, frozenset({(1, 3)}))
+            Digraph.from_edges(2, {(1, 3)})
 
 
 class TestUnion:
     def test_with_edgeless(self):
         g = cycle(4)
-        assert union(g, Digraph(4, frozenset())) == g
+        assert union(g, Digraph.from_edges(4, ())) == g
 
     def test_golden_union(self, ex3):
         got = union(digraph_of(ex3.A), digraph_of(ex3.B))
@@ -62,7 +64,7 @@ class TestUnion:
 
 class TestClasses:
     def test_edgeless_singletons(self):
-        part = classes(Digraph(3, frozenset()))
+        part = classes(Digraph.from_edges(3, ()))
         assert part.classes == ((1,), (2,), (3,))
 
     def test_golden_two_classes(self, ex2):
@@ -76,7 +78,7 @@ class TestClasses:
 
     def test_topological_tie_break(self):
         # two sources 1 and 3, both feeding 2: ties go to the smaller vertex
-        g = Digraph(3, frozenset({(1, 2), (3, 2)}))
+        g = Digraph.from_edges(3, {(1, 2), (3, 2)})
         assert classes(g).classes == ((1,), (3,), (2,))
 
     def test_relabel_invariance(self):
@@ -86,11 +88,8 @@ class TestClasses:
             X = (rng.random((n, n)) < 0.3).astype(float)
             g = digraph_of(X)
             perm = rng.permutation(n)  # perm[old] = new - 1
-            relabelled = Digraph(
-                n,
-                frozenset((int(perm[j - 1]) + 1, int(perm[k - 1]) + 1)
-                          for j, k in g.edges),
-            )
+            relabelled = Digraph.from_edges(
+                n, ((int(perm[j - 1]) + 1, int(perm[k - 1]) + 1) for j, k in g.edges))
             base = {frozenset(c) for c in classes(g).classes}
             mapped = {
                 frozenset(int(perm[v - 1]) + 1 for v in c) for c in base
@@ -107,7 +106,7 @@ class TestClasses:
 
 class TestReducedGraph:
     def test_edgeless(self):
-        assert reduced_graph(Digraph(3, frozenset())).edges == frozenset()
+        assert reduced_graph(Digraph.from_edges(3, ())).edges == frozenset()
 
     def test_golden_access_direction(self, ex2):
         # A[2,1] = 1 gives {2,4} access to {1,3}; nothing accesses {2,4}
@@ -136,14 +135,14 @@ class TestReducedGraph:
                         assert (a, d) in edges
 
     def test_accesses_is_reflexive(self):
-        red = reduced_graph(Digraph(2, frozenset()))
+        red = reduced_graph(Digraph.from_edges(2, ()))
         assert red.accesses(0, 0) and red.accesses(1, 1)
         assert not red.accesses(0, 1)
 
 
 class TestAccessSet:
     def test_edgeless(self):
-        assert access_set(Digraph(3, frozenset()), (2,)) == (2,)
+        assert access_set(Digraph.from_edges(3, ()), (2,)) == (2,)
 
     def test_single_edge(self, ex3):
         assert access_set(digraph_of(ex3.A), (2,)) == (1, 2)
@@ -207,9 +206,9 @@ def _oracle(n: int, edges):
 def _oracle_graphs():
     rng = np.random.default_rng(2024)
     for n in range(1, 15):
-        yield Digraph(n, frozenset())
-        yield Digraph(n, frozenset((j, k) for j in range(1, n + 1)
-                                   for k in range(1, n + 1)))
+        yield Digraph.from_edges(n, ())
+        yield Digraph.from_edges(n, ((j, k) for j in range(1, n + 1)
+                                     for k in range(1, n + 1)))
         for density in (0.05, 0.1, 0.2, 0.3, 0.5):
             for _ in range(12):
                 X = rng.random((n, n)) < density
@@ -242,6 +241,81 @@ class TestAgainstDefinition:
                 assert access_set(g, (J + 1).tolist()) == expected, sorted(g.edges)
 
 
+def _girth_oracle(g: Digraph) -> int:
+    """The least k <= n for which the k-th boolean power of the adjacency
+    matrix has a nonzero diagonal, n + 1 when there is none."""
+    adj = np.zeros((g.n, g.n), dtype=int)
+    for j, k in g.edges:
+        adj[j - 1, k - 1] = 1
+    power = np.eye(g.n, dtype=int)
+    for k in range(1, g.n + 1):
+        power = (power @ adj > 0).astype(int)
+        if power.diagonal().any():
+            return k
+    return g.n + 1
+
+
+def _girth_graphs():
+    # Random digraphs with their loops removed have girths above 1; the
+    # ones with loops keep them.
+    rng = np.random.default_rng(2026)
+    for n in range(1, 13):
+        yield Digraph.from_edges(n, ())
+        yield cycle(n)
+        everything = np.ones((n, n))
+        yield digraph_of(everything)
+        yield digraph_of(everything - np.eye(n))
+        for density in (0.05, 0.1, 0.2, 0.3, 0.5):
+            for loops in (False, False, True):
+                X = (rng.random((n, n)) < density).astype(float)
+                if not loops:
+                    np.fill_diagonal(X, 0.0)
+                yield digraph_of(X)
+
+
+class TestRepresentation:
+    """The successor bitmasks against the edge form and the definitions."""
+
+    def test_girth_against_definition(self):
+        girths = set()
+        for g in _girth_graphs():
+            assert g.girth == _girth_oracle(g), sorted(g.edges)
+            girths.add(g.girth)
+        assert girths >= set(range(1, 14))
+
+    def test_from_edges_round_trip(self):
+        for g in itertools.chain(_oracle_graphs(), _girth_graphs()):
+            assert Digraph.from_edges(g.n, g.edges) == g
+
+    def test_digraph_of_edges_by_definition(self):
+        rng = np.random.default_rng(31)
+        floor = DEFAULT_TOL.abs_floor
+        for n in range(1, 15):
+            X = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+            # entries on either side of the floor, of either sign
+            X[rng.random((n, n)) < 0.2] = floor
+            X[rng.random((n, n)) < 0.2] = -np.nextafter(floor, 1.0)
+            expected = {(j + 1, k + 1) for j in range(n) for k in range(n)
+                        if abs(X[j, k]) > floor}
+            assert digraph_of(X).edges == frozenset(expected)
+
+    def test_rows_checked(self):
+        assert Digraph(2, (0b11, 0b10)).edges == frozenset({(1, 1), (1, 2), (2, 2)})
+        for rows in ((0,), (0, 0, 0), (0b100, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                Digraph(2, rows)
+
+    def test_rows_are_python_ints(self):
+        # _bits needs int.bit_length, which numpy integers lack; Python
+        # ints also hold more than 64 vertices
+        g = digraph_of(np.ones((70, 70)))
+        assert all(type(r) is int for r in g.rows)
+        assert g.rows[0] == 2 ** 70 - 1 and g.girth == 1
+        h = Digraph(2, (np.int64(2), np.uint8(1)))
+        assert all(type(r) is int for r in h.rows)
+        assert h.edges == frozenset({(1, 2), (2, 1)}) and h.girth == 2
+
+
 class TestLemma4Surrogate:
     def test_member_classes_match_union_classes(self):
         # off-diagonal cancellation cannot occur for t in (0, 1), so the
@@ -271,6 +345,6 @@ def test_classes_cover_every_vertex():
     for _ in range(40):
         n = int(rng.integers(1, 8))
         pairs = rng.integers(1, n + 1, size=(int(rng.integers(0, n * n + 1)), 2))
-        part = classes(Digraph(n, frozenset(map(tuple, pairs))))
+        part = classes(Digraph.from_edges(n, pairs))
         seen = sorted(v for c in part.classes for v in c)
         assert seen == list(range(1, n + 1))
